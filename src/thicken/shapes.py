@@ -276,9 +276,12 @@ def project(shape, x, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
         foot, d, tied = _ellipse_nearest(shape, p)
         if tied:
             raise MedialAxisProximity("two symmetric nearest points tie on the ellipse")
-        # competing foot on the mirrored branch nearly ties near the medial axis
+        # competing foot on the mirrored branch nearly ties near the medial
+        # axis, the major-axis segment |x0| < (a^2 - b^2)/a; past its end the
+        # nearest point is unique however close x sits to the axis
         mirrored = math.hypot(foot[0] - p[0], -foot[1] - p[1])
-        if foot[1] != 0.0 and mirrored - d <= ctx.eps_med * tau:
+        cusp = (shape.a * shape.a - shape.b * shape.b) / shape.a
+        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= ctx.eps_med * tau:
             raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
         return foot
 

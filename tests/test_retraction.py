@@ -220,6 +220,15 @@ def test_checker_reports_are_seed_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("seed", (1027, 1028))
+def test_ellipse_cech_simplex_has_no_false_medial_ties(seed):
+    # these seeds project barycenters just off the major axis past the
+    # evolute cusp, where the projection is unique and must not raise
+    rep = check_cech_simplex_lemma(Ellipse(2.0, 1.0), 0.45, 5, 200, seed, flavor="ambient")
+    assert rep.violations == 0
+    assert math.isfinite(rep.worst_margin)
+
+
 def test_checkers_guard_scale_against_reach():
     with pytest.raises(ValueError, match="reach"):
         check_vr_simplex_lemma(Circle(1.0), 1.0, 3, 10, seed=1)

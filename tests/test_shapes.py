@@ -133,6 +133,13 @@ def test_projection_known_values():
     assert np.allclose(project(Circle(1.0), [2.0, 0.0]), [1.0, 0.0])
     assert np.allclose(project(Sphere(3, 2.0), [0.0, 0.0, 5.0]), [0.0, 0.0, 2.0])
     assert np.allclose(project(Ellipse(2.0, 1.0), [3.0, 0.0]), [2.0, 0.0])
+    # near the major axis but past the evolute cusp |x0| = (a^2 - b^2)/a = 1.5
+    # the nearest point is unique, inside and outside the ellipse alike
+    for x in ([1.9533, 9.2e-6], [1.6, 1e-5], [2.5, 1e-8]):
+        p = project(Ellipse(2.0, 1.0), x)
+        assert np.allclose(p, [2.0, 0.0], atol=1e-4)
+        assert float(np.linalg.norm(p - x)) == pytest.approx(
+            distance_to_shape(Ellipse(2.0, 1.0), x), abs=1e-12)
     # torus: radially outward in the z=0 plane hits the outer equator
     assert np.allclose(project(Torus(3.0, 1.0), [5.0, 0.0, 0.0]), [4.0, 0.0, 0.0])
     assert np.allclose(project(ZeroSphere(), [0.2]), [1.0])
@@ -154,6 +161,10 @@ def test_projection_medial_axis_raises():
     # ellipse: the center lies between the two curvature centers, still medial
     with pytest.raises(MedialAxisProximity):
         project(Ellipse(2.0, 1.0), [0.0, 0.0])
+    # points just off the medial segment |x0| < 1.5 still tie numerically
+    for x in ([1.49, 1e-7], [1.0, 1e-9]):
+        with pytest.raises(MedialAxisProximity):
+            project(Ellipse(2.0, 1.0), x)
 
 
 def test_projection_is_idempotent_on_shape_points():
