@@ -1,6 +1,6 @@
 """Metric thickenings of positive-reach subsets of Euclidean space.
 
-Library layers, bottom up: euclid (points, balls, tolerance contexts),
+Library layers, bottom up: euclid (points, coincidence, tolerance contexts),
 shapes (positive-reach sets with exact projection), complexes (simplex
 predicates, minimum enclosing balls, skeleton enumeration), transport
 (exact 1-Wasserstein on finite measures), thickening (measures as points
@@ -87,6 +87,7 @@ from .harness import (
     Experiment,
     ExperimentResult,
     parse_config,
+    parse_shape,
     run_campaign,
 )
 
@@ -112,6 +113,6 @@ __all__ = [
     "check_empty_ball", "check_federer", "check_vr_simplex_lemma",
     "check_vr_tub_lemma", "homotopy_H", "retract",
     "EXPERIMENTS", "CampaignConfig", "Experiment", "ExperimentResult",
-    "parse_config", "run_campaign",
+    "parse_config", "parse_shape", "run_campaign",
     "__version__",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import ComplexSpec, FLAVORS, enumerate_skeleton, format_skeleton
 from .errors import ConfigError, DimensionMismatch, MedialAxisProximity, ThickenError
-from .harness import EXPERIMENTS, parse_config, run_campaign
+from .harness import EXPERIMENTS, parse_config, parse_shape, run_campaign
 from .shapes import project, sample
 from .transport import parse_measure_text, wasserstein1
 
@@ -90,15 +90,9 @@ def _cmd_wasserstein(args) -> int:
     return EXIT_PASS
 
 
-def _shape_from_descriptor(descriptor: str):
-    """Shape from config-style tokens, e.g. 'shape=circle radius=1'."""
-    probe = parse_config(descriptor + "\nr=0.1\ntightness=1")
-    return probe.shape
-
-
 def _cmd_skeleton(args) -> int:
     points = _parse_points_text(_read_text(args.points))
-    shape = _shape_from_descriptor(args.shape) if args.shape else None
+    shape = parse_shape(args.shape) if args.shape else None
     try:
         spec = ComplexSpec(args.flavor, args.scale, strict=args.strict, shape=shape)
     except ValueError as exc:
@@ -122,7 +116,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    shape = _shape_from_descriptor(args.shape)
+    shape = parse_shape(args.shape)
     point = _parse_points_text(args.point)[0]
     try:
         p = project(shape, np.asarray(point, dtype=float))

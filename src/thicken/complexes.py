@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousPredicate, MedialAxisProximity, SizeLimit
-from .euclid import DEFAULT_CTX, GeomContext, as_point, as_points, diameter, threshold_compare
+from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, diameter,
+                     threshold_compare)
 from .shapes import project
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
@@ -41,10 +42,9 @@ class Simplex:
         pts = as_points([as_point(v) for v in self.vertices])
         if pts.shape[0] == 0:
             raise ValueError("simplex needs at least one vertex")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.all(np.abs(pts[i] - pts[j]) <= 1e-12):
-                    raise ValueError(f"vertices {i} and {j} coincide")
+        pair = coincident_pair(pts)
+        if pair is not None:
+            raise ValueError("vertices %d and %d coincide" % pair)
         object.__setattr__(self, "vertices", tuple(tuple(map(float, v)) for v in pts))
 
     def array(self) -> np.ndarray:

@@ -21,10 +21,8 @@ __all__ = [
     "distance",
     "diameter",
     "convex_combination",
-    "HalfSpace",
-    "half_space_contains",
-    "Ball",
-    "ball_contains",
+    "coincident_rows",
+    "coincident_pair",
     "threshold_compare",
 ]
 
@@ -109,52 +107,26 @@ def convex_combination(points, weights) -> np.ndarray:
     return w @ pts
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Open half-space {z : <z - anchor, normal> > 0}."""
-
-    anchor: tuple
-    normal: tuple
-
-    def __post_init__(self):
-        a = as_point(self.anchor)
-        n = as_point(self.normal, dim=a.size)
-        if float(np.linalg.norm(n)) == 0.0:
-            raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "anchor", tuple(a))
-        object.__setattr__(self, "normal", tuple(n))
+# per-coordinate distance below which two points count as one
+_COINCIDENCE_TOL = 1e-12
 
 
-def half_space_contains(h: HalfSpace, z) -> bool:
-    """Strict membership in the open half-space."""
-    a = np.asarray(h.anchor)
-    n = np.asarray(h.normal)
-    p = as_point(z, dim=a.size)
-    return float(np.dot(p - a, n)) > 0.0
+def coincident_rows(a, b) -> np.ndarray:
+    """(len(a), len(b)) boolean matrix: rows a[i] and b[j] agree within
+    1e-12 in every coordinate."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.all(np.abs(a[:, None, :] - b[None, :, :]) <= _COINCIDENCE_TOL, axis=2)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Ball with center, radius >= 0, and open/closed boundary flag."""
-
-    center: tuple
-    radius: float
-    open: bool = False
-
-    def __post_init__(self):
-        c = as_point(self.center)
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-        object.__setattr__(self, "center", tuple(c))
-        object.__setattr__(self, "radius", float(self.radius))
-
-
-def ball_contains(b: Ball, z) -> bool:
-    """Membership in the ball, honoring the boundary flag exactly."""
-    c = np.asarray(b.center)
-    p = as_point(z, dim=c.size)
-    d = float(np.linalg.norm(p - c))
-    return d < b.radius if b.open else d <= b.radius
+def coincident_pair(points):
+    """First pair (i, j), i < j in row-major order, of coinciding rows of
+    `points`; None when all rows are distinct."""
+    close = np.triu(coincident_rows(points, points), 1)
+    if not close.any():
+        return None
+    i, j = np.argwhere(close)[0]
+    return int(i), int(j)
 
 
 def threshold_compare(value: float, threshold: float, strict: bool,

@@ -3,7 +3,7 @@
 A campaign reads a flat key=value config, runs the requested lemma suites
 over a grid of scales, and emits one CSV row per (lemma, scale) cell. Rows
 are generated in a fixed order from per-trial RNG streams, so output bytes
-depend only on config and seed, never on the worker count.
+depend only on config and seed.
 """
 from __future__ import annotations
 
@@ -15,28 +15,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .complexes import ComplexSpec, Simplex, is_cech_simplex_ambient
-from .errors import ConfigError, MedialAxisProximity
+from .errors import ConfigError, MedialAxisProximity, ThickenError
 from .euclid import convex_combination
-from .retraction import (
-    CSV_COLUMNS,
-    LEMMA_IDS,
-    LemmaReport,
-    check_cech_radius_lemma,
-    check_cech_simplex_lemma,
-    check_cech_tub_lemma,
-    check_convex_lemma,
-    check_empty_ball,
-    check_federer,
-    check_vr_simplex_lemma,
-    check_vr_tub_lemma,
-    csv_header,
-    retract,
-)
+from .retraction import CAMPAIGN_FLAVORS, CSV_COLUMNS, LEMMA_IDS, SUITES, LemmaReport, retract
 from .shapes import (
+    SHAPE_KINDS,
     Circle,
     Ellipse,
     FinitePointSet,
-    Sphere,
     Torus,
     ZeroSphere,
     estimate_reach,
@@ -46,25 +32,8 @@ from .shapes import (
 from .thickening import make_thickening_point
 from .transport import Measure
 
-_GLOBAL_KEYS = ("shape", "r", "k", "trials", "seed", "strict", "lemmas",
+_GLOBAL_KEYS = ("r", "k", "trials", "seed", "strict", "lemmas",
                 "flavor", "tightness", "out", "timing")
-_SHAPE_PARAM_KEYS = {
-    "circle": ("radius",),
-    "ellipse": ("a", "b"),
-    "sphere": ("dim", "radius"),
-    "torus": ("major", "minor"),
-    "zerosphere": (),
-    "finite": ("points",),
-}
-_FLAVOR_SUITES = {
-    "all": LEMMA_IDS,
-    "vr": ("Convex", "VrTub", "VrSimplex", "EmptyBall", "FedererLipschitz"),
-    "cech": ("Convex", "CechRadius", "CechTub", "CechSimplexAmbient",
-             "CechSimplexIntrinsic", "EmptyBall", "FedererLipschitz"),
-}
-# suites whose checker requires the scale to sit strictly below the reach
-_NEEDS_REACH_GAP = ("VrSimplex", "CechSimplexAmbient", "CechSimplexIntrinsic",
-                    "FedererLipschitz")
 
 
 @dataclass(frozen=True)
@@ -129,8 +98,10 @@ class ExperimentResult:
 # config parsing
 
 
-def _parse_kv_tokens(text: str) -> list:
-    pairs = []
+def _parse_pairs(text: str) -> dict:
+    """Flat key=value tokens (whitespace-separated, # comments) as a dict;
+    a repeated key is an error."""
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,35 +112,52 @@ def _parse_kv_tokens(text: str) -> list:
             key, _, value = token.partition("=")
             if not key or not value:
                 raise ConfigError(f"line {lineno}: malformed pair {token!r}")
-            pairs.append((key, value))
-    return pairs
+            if key in seen:
+                raise ConfigError(f"duplicate key {key!r}")
+            seen[key] = value
+    return seen
 
 
-def _build_shape(kind: str, params: dict):
+def _parse_points(text: str) -> tuple:
+    return tuple(tuple(float(c) for c in chunk.split(",")) for chunk in text.split(";"))
+
+
+# descriptor value parsers by shape field type
+_FIELD_PARSERS = {"float": float, "int": int, "tuple": _parse_points}
+
+
+def _pop_shape(seen: dict):
+    """Remove `shape` and the named kind's parameters from `seen` and build
+    the shape. The parameters are the kind's dataclass fields."""
+    if "shape" not in seen:
+        raise ConfigError("config needs a shape")
+    kind = seen.pop("shape")
+    cls = SHAPE_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown shape kind {kind!r}; expected one of {sorted(SHAPE_KINDS)}")
+    params = {}
+    for f in dataclasses.fields(cls):
+        if f.name in seen:
+            text = seen.pop(f.name)
+            try:
+                params[f.name] = _FIELD_PARSERS[f.type](text)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {kind!r} parameter {f.name}={text!r}: {exc}") from None
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"shape {kind!r} needs parameter {f.name!r}")
     try:
-        if kind == "circle":
-            return Circle(float(params.get("radius", 1.0)))
-        if kind == "ellipse":
-            return Ellipse(float(params["a"]), float(params["b"]))
-        if kind == "sphere":
-            return Sphere(int(params.get("dim", 3)), float(params.get("radius", 1.0)))
-        if kind == "torus":
-            return Torus(float(params["major"]), float(params["minor"]))
-        if kind == "zerosphere":
-            return ZeroSphere()
-        if kind == "finite":
-            pts = []
-            for chunk in params["points"].split(";"):
-                pts.append(tuple(float(c) for c in chunk.split(",")))
-            return FinitePointSet(tuple(pts))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"shape {kind!r} needs parameter {exc.args[0]!r}") from None
-    except Exception as exc:
+        return cls(**params)
+    except (ValueError, ThickenError) as exc:
         raise ConfigError(f"invalid {kind!r} parameters: {exc}") from None
-    raise ConfigError(f"unknown shape kind {kind!r}; "
-                      f"expected one of {sorted(_SHAPE_PARAM_KEYS)}")
+
+
+def parse_shape(text: str):
+    """Shape from descriptor tokens, e.g. 'shape=ellipse a=2 b=1'."""
+    seen = _parse_pairs(text)
+    shape = _pop_shape(seen)
+    if seen:
+        raise ConfigError(f"unknown shape keys {sorted(seen)}")
+    return shape
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -181,27 +169,13 @@ def _parse_bool(key: str, value: str) -> bool:
 
 
 def parse_config(text: str) -> CampaignConfig:
-    """Parse flat key=value campaign configuration text."""
-    pairs = _parse_kv_tokens(text)
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r}")
-        seen[key] = value
-    if "shape" not in seen:
-        raise ConfigError("config needs a shape")
-    kind = seen.pop("shape")
-    if kind not in _SHAPE_PARAM_KEYS:
-        raise ConfigError(f"unknown shape kind {kind!r}; "
-                          f"expected one of {sorted(_SHAPE_PARAM_KEYS)}")
-    shape_params = {}
-    for pkey in _SHAPE_PARAM_KEYS[kind]:
-        if pkey in seen:
-            shape_params[pkey] = seen.pop(pkey)
+    """Parse flat key=value campaign configuration text: a shape
+    descriptor (see parse_shape) plus campaign keys."""
+    seen = _parse_pairs(text)
+    shape = _pop_shape(seen)
     unknown = [k for k in seen if k not in _GLOBAL_KEYS]
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    shape = _build_shape(kind, shape_params)
 
     if "r" not in seen:
         raise ConfigError("config needs at least one scale r")
@@ -210,16 +184,19 @@ def parse_config(text: str) -> CampaignConfig:
     except ValueError:
         raise ConfigError(f"could not parse r grid {seen['r']!r}") from None
 
-    lemmas = _FLAVOR_SUITES[seen.get("flavor", "all")] if seen.get("flavor", "all") in _FLAVOR_SUITES \
-        else None
-    if lemmas is None:
-        raise ConfigError(f"flavor must be one of {sorted(_FLAVOR_SUITES)}, got {seen['flavor']!r}")
+    flavor = seen.get("flavor", "all")
+    if flavor not in CAMPAIGN_FLAVORS:
+        raise ConfigError(f"flavor must be one of {list(CAMPAIGN_FLAVORS)}, got {flavor!r}")
+    lemmas = tuple(m for m in LEMMA_IDS if flavor in SUITES[m].flavors)
     if "lemmas" in seen:
         requested = tuple(tok for tok in seen["lemmas"].split(",") if tok)
         bad = [m for m in requested if m not in LEMMA_IDS]
         if bad:
             raise ConfigError(f"unknown lemma suites {bad}; valid: {list(LEMMA_IDS)}")
-        lemmas = tuple(m for m in requested if m in lemmas)
+        outside = [m for m in requested if m not in lemmas]
+        if outside:
+            raise ConfigError(f"lemma suites {outside} are not in flavor {flavor!r}")
+        lemmas = requested
 
     try:
         return CampaignConfig(
@@ -242,69 +219,35 @@ def parse_config(text: str) -> CampaignConfig:
 # campaign driver
 
 
-def _run_suite(lemma: str, shape, r: float, k: int, trials: int, seed: int,
-               strict: bool) -> LemmaReport:
-    if lemma == "Convex":
-        return check_convex_lemma(shape, r, k, trials, seed, strict=strict)
-    if lemma == "VrTub":
-        return check_vr_tub_lemma(shape, r, k, trials, seed, strict=strict)
-    if lemma == "VrSimplex":
-        return check_vr_simplex_lemma(shape, r, k, trials, seed, strict=strict)
-    if lemma == "CechRadius":
-        return check_cech_radius_lemma(shape, r, k, trials, seed, strict=strict)
-    if lemma == "CechTub":
-        return check_cech_tub_lemma(shape, r, k, trials, seed, strict=strict)
-    if lemma == "CechSimplexAmbient":
-        return check_cech_simplex_lemma(shape, r, k, trials, seed,
-                                        flavor="ambient", strict=strict)
-    if lemma == "CechSimplexIntrinsic":
-        return check_cech_simplex_lemma(shape, r, k, trials, seed,
-                                        flavor="intrinsic", strict=strict)
-    if lemma == "EmptyBall":
-        return check_empty_ball(shape, trials, seed)
-    if lemma == "FedererLipschitz":
-        return check_federer(shape, r, trials, seed)
-    raise ValueError(f"unknown lemma suite {lemma!r}")
-
-
-def _report_row(rep: LemmaReport, timing: bool) -> dict:
-    row = {
-        "lemma_id": rep.lemma_id, "shape": rep.shape,
-        "r": format(rep.r, ".12g"), "k": str(rep.k),
-        "trials": str(rep.trials), "violations": str(rep.violations),
-        "ambiguous": str(rep.ambiguous),
-        "worst_margin": format(rep.worst_margin, ".12g"),
-        "seed": str(rep.seed),
-    }
-    if timing:
-        row["wall_time_ms"] = "" if rep.wall_time_ms is None else format(rep.wall_time_ms, ".3f")
-    return row
-
-
 def run_campaign(config: CampaignConfig) -> ExperimentResult:
     """Run every requested (lemma, r) cell; PASS needs zero violations in all
     of them. Starved cells downgrade the verdict to WARN, an all-empty run is
-    SKIP, and any violation makes it FAIL."""
+    SKIP, and any violation makes it FAIL. A suite that ignores r runs once
+    and its report fills the row of every scale."""
     reports = []
+    done = {}
     for r in config.rs:
         for lemma in config.lemmas:
-            if config.tightness and lemma in _NEEDS_REACH_GAP:
-                tau = reach(config.shape)
-                if not r < tau * (1.0 - 1e-3):
-                    reports.append(LemmaReport(
-                        lemma_id=lemma, shape=shape_label(config.shape), r=float(r),
-                        k=config.k, trials=0, violations=0, ambiguous=0,
-                        worst_margin=math.nan, seed=config.seed))
-                    continue
-            t0 = time.perf_counter()
-            rep = _run_suite(lemma, config.shape, r, config.k,
-                             config.trials, config.seed, config.strict)
-            if config.timing:
-                rep = dataclasses.replace(
-                    rep, wall_time_ms=(time.perf_counter() - t0) * 1e3)
-            reports.append(rep)
-    columns = tuple(CSV_COLUMNS) + (("wall_time_ms",) if config.timing else ())
-    rows = tuple(_report_row(rep, config.timing) for rep in reports)
+            suite = SUITES[lemma]
+            if (config.tightness and suite.needs_reach_gap
+                    and not r < reach(config.shape) * (1.0 - 1e-3)):
+                reports.append(LemmaReport(
+                    lemma_id=lemma, shape=shape_label(config.shape), r=float(r),
+                    k=config.k, trials=0, violations=0, ambiguous=0,
+                    worst_margin=math.nan, seed=config.seed))
+                continue
+            key = (lemma, r if suite.uses_r else None)
+            if key not in done:
+                t0 = time.perf_counter()
+                rep = suite.run(config.shape, r, config.k, config.trials,
+                                config.seed, config.strict)
+                if config.timing:
+                    rep = dataclasses.replace(
+                        rep, wall_time_ms=(time.perf_counter() - t0) * 1e3)
+                done[key] = rep
+            reports.append(done[key])
+    columns = CSV_COLUMNS + (("wall_time_ms",) if config.timing else ())
+    rows = tuple(rep.csv_fields(config.timing) for rep in reports)
     if any(rep.violations > 0 for rep in reports):
         verdict = "FAIL"
     elif all(rep.trials == 0 for rep in reports):

@@ -4,16 +4,16 @@ verifiers for the geometric facts they rest on.
 Each checker runs seeded trials: it samples a valid input (simplex, tube
 point, or pair), evaluates the claimed inequality, and reports the count of
 violations beyond tolerance together with the worst margin seen. Trials
-derive independent RNG streams from (seed, trial_index), so results are
-identical for any worker count.
+derive independent RNG streams from (seed, trial_index), so results do not
+depend on the order trials run in. SUITES tables the checkers for the
+campaign driver.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,36 +27,21 @@ from .complexes import (
     min_enclosing_ball,
 )
 from .errors import AmbiguousPredicate, MedialAxisProximity
-from .euclid import DEFAULT_CTX, GeomContext
+from .euclid import DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows
 from .shapes import (
-    FinitePointSet,
-    ZeroSphere,
     ambient_dim,
     distance_to_shape,
+    finite_points,
     project,
     reach,
     sample_rng,
     shape_label,
 )
-from .thickening import ThickeningPoint, inclusion_iota, linear_projection_f, make_thickening_point
+from .thickening import ThickeningPoint, linear_projection_f, make_thickening_point
 from .transport import Measure
-
-LEMMA_IDS = (
-    "Convex",
-    "VrTub",
-    "VrSimplex",
-    "CechRadius",
-    "CechTub",
-    "CechSimplexAmbient",
-    "CechSimplexIntrinsic",
-    "EmptyBall",
-    "FedererLipschitz",
-)
 
 CSV_COLUMNS = ("lemma_id", "shape", "r", "k", "trials", "violations",
                "ambiguous", "worst_margin", "seed")
-
-_ATOM_MERGE_TOL = 1e-12  # matches the Simplex distinctness tolerance
 
 
 @dataclass(frozen=True)
@@ -79,20 +64,24 @@ class LemmaReport:
         if self.lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma_id {self.lemma_id!r}")
 
-    def csv_row(self, include_timing: bool = False) -> str:
-        cells = [self.lemma_id, self.shape, format(self.r, ".12g"), str(self.k),
-                 str(self.trials), str(self.violations), str(self.ambiguous),
-                 format(self.worst_margin, ".12g"), str(self.seed)]
+    def csv_fields(self, include_timing: bool = False) -> dict:
+        """Column name -> formatted cell, in CSV_COLUMNS order, plus
+        wall_time_ms when asked (empty when the cell was not timed)."""
+        cells = dict(zip(CSV_COLUMNS, (
+            self.lemma_id, self.shape, format(self.r, ".12g"), str(self.k),
+            str(self.trials), str(self.violations), str(self.ambiguous),
+            format(self.worst_margin, ".12g"), str(self.seed))))
         if include_timing:
-            cells.append("" if self.wall_time_ms is None else format(self.wall_time_ms, ".3f"))
-        return ",".join(cells)
+            cells["wall_time_ms"] = ("" if self.wall_time_ms is None
+                                     else format(self.wall_time_ms, ".3f"))
+        return cells
+
+    def csv_row(self, include_timing: bool = False) -> str:
+        return ",".join(self.csv_fields(include_timing).values())
 
 
 def csv_header(include_timing: bool = False) -> str:
-    cols = list(CSV_COLUMNS)
-    if include_timing:
-        cols.append("wall_time_ms")
-    return ",".join(cols)
+    return ",".join(CSV_COLUMNS + (("wall_time_ms",) if include_timing else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +110,15 @@ def homotopy_H(tp: ThickeningPoint, t: float, witnesses=(),
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
     p = retract(tp, ctx)
-    atoms = [np.asarray(a, dtype=float) for a in tp.measure.support]
+    atoms = list(tp.measure.support)
     weights = [t * w for w in tp.measure.weights]
-    merged = False
-    for i, a in enumerate(atoms):
-        if np.all(np.abs(a - p) <= _ATOM_MERGE_TOL):
-            weights[i] += 1.0 - t
-            merged = True
-            break
-    if not merged:
-        atoms.append(p)
+    hits = np.flatnonzero(coincident_rows(tp.measure.array(), p[None, :])[:, 0])
+    if hits.size:
+        weights[hits[0]] += 1.0 - t
+    else:
+        atoms.append(tuple(map(float, p)))
         weights.append(1.0 - t)
-    measure = Measure(tuple(tuple(map(float, a)) for a in atoms), tuple(weights))
+    measure = Measure(tuple(atoms), tuple(weights))
     wits = tuple(witnesses) + (tuple(map(float, p)),)
     return make_thickening_point(measure, tp.spec, witnesses=wits, ctx=ctx)
 
@@ -144,22 +130,14 @@ _MAX_ATTEMPTS = 64
 _PATCH_BUDGET = 24
 
 
-def _finite_points(shape):
-    if isinstance(shape, ZeroSphere):
-        return np.array([[-1.0], [1.0]])
-    if isinstance(shape, FinitePointSet):
-        return shape.array()
-    return None
-
-
 def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     """`count` on-shape points within Euclidean `radius` of `center`, or None
     if the sampling budget runs out (continuous) / too few exist (finite)."""
-    fin = _finite_points(shape)
+    fin = finite_points(shape)
     if fin is not None:
         keep = np.linalg.norm(fin - center, axis=1) <= radius
         if exclude_center:
-            keep &= ~np.all(np.abs(fin - center) <= _ATOM_MERGE_TOL, axis=1)
+            keep &= ~coincident_rows(fin, center[None, :])[:, 0]
         sel = fin[keep]
         if sel.shape[0] < count:
             return None
@@ -180,14 +158,6 @@ def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     return None
 
 
-def _distinct_rows(pts: np.ndarray) -> bool:
-    n = pts.shape[0]
-    if n < 2:
-        return True
-    close = np.all(np.abs(pts[:, None, :] - pts[None, :, :]) <= _ATOM_MERGE_TOL, axis=2)
-    return not np.any(close & ~np.eye(n, dtype=bool))
-
-
 def _sample_valid_simplex(shape, natoms, accept, radius_full, radius_safe, rng):
     """Support tuple of `natoms` distinct on-shape points passing `accept`.
 
@@ -205,7 +175,7 @@ def _sample_valid_simplex(shape, natoms, accept, radius_full, radius_safe, rng):
             if rest is None:
                 continue
             pts = np.vstack([x0[None, :], rest])
-            if not _distinct_rows(pts):
+            if coincident_pair(pts) is not None:
                 continue
         try:
             if accept(pts):
@@ -222,7 +192,7 @@ def _sample_witnessed_simplex(shape, natoms, accept, radius, rng):
     for _ in range(_MAX_ATTEMPTS):
         y = sample_rng(shape, 1, rng)[0]
         pts = _patch_points(shape, y, radius, natoms, rng)
-        if pts is None or not _distinct_rows(pts):
+        if pts is None or coincident_pair(pts) is not None:
             continue
         try:
             if accept(pts, y):
@@ -236,7 +206,7 @@ def _max_feasible_atoms(shape, accept, cap: int) -> int:
     """Largest support size (up to cap) for which some valid simplex exists.
     Exact subset search on finite shapes; continuous shapes always admit
     arbitrarily small patches, so the cap itself is returned."""
-    fin = _finite_points(shape)
+    fin = finite_points(shape)
     if fin is None:
         return cap
     n = fin.shape[0]
@@ -259,52 +229,25 @@ def _dirichlet_weights(n: int, rng) -> np.ndarray:
 # cell runner
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("THICKEN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
-    """Run `trial_fn(rng) -> (status, margin, tol)` for each trial index and
-    aggregate order-independently (sums and max), so any worker count yields
-    the same report."""
+    """Run `trial_fn(rng) -> (status, margin, tol)` on the RNG stream
+    (seed, t) of each trial index t and aggregate the outcomes."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
-
-    def run_chunk(lo: int, hi: int):
-        ok = amb = starved = viol = 0
-        worst = -math.inf
-        for t in range(lo, hi):
-            rng = np.random.default_rng((seed, t))
-            status, margin, tol = trial_fn(rng)
-            if status == "ok":
-                ok += 1
-                if margin > tol:
-                    viol += 1
-                if margin > worst:
-                    worst = margin
-            elif status == "ambiguous":
-                amb += 1
-            else:
-                starved += 1
-        return ok, amb, starved, viol, worst
-
-    workers = _worker_count()
-    if workers == 1 or trials < 64:
-        parts = [run_chunk(0, trials)]
-    else:
-        step = max(1, math.ceil(trials / (4 * workers)))
-        spans = [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: run_chunk(*s), spans))
-    ok = sum(p[0] for p in parts)
-    amb = sum(p[1] for p in parts)
-    starved = sum(p[2] for p in parts)
-    viol = sum(p[3] for p in parts)
-    worst = max((p[4] for p in parts), default=-math.inf)
+    ok = amb = starved = viol = 0
+    worst = -math.inf
+    for t in range(trials):
+        status, margin, tol = trial_fn(np.random.default_rng((seed, t)))
+        if status == "ok":
+            ok += 1
+            if margin > tol:
+                viol += 1
+            if margin > worst:
+                worst = margin
+        elif status == "ambiguous":
+            amb += 1
+        else:
+            starved += 1
     return LemmaReport(
         lemma_id=lemma_id, shape=shape_label(shape), r=float(r), k=int(k),
         trials=ok + amb, violations=viol, ambiguous=amb,
@@ -402,25 +345,37 @@ def _cech_accept(spec: ComplexSpec, ctx: GeomContext):
     return accept
 
 
+def _simplex_cell(lemma_id, shape, r, k, trials, seed, accept, radii, margin,
+                  ctx: GeomContext) -> LemmaReport:
+    """Cell whose trials sample a simplex of 1..k+1 atoms passing `accept`
+    (patch radii `radii` = (full, safe), see _sample_valid_simplex), draw
+    convex weights and score `margin(pts, weights)` against tolerance at r. A
+    margin whose projection lands on the medial axis counts as inf."""
+    cap = _max_feasible_atoms(shape, accept, k + 1)
+    tol = _tol_for(r, ctx)
+
+    def trial(rng):
+        natoms = 1 + int(rng.integers(0, cap))
+        pts, status = _sample_valid_simplex(shape, natoms, accept, *radii, rng)
+        if status != "ok":
+            return status, 0.0, 0.0
+        lam = _dirichlet_weights(natoms, rng)
+        try:
+            return "ok", margin(pts, lam), tol
+        except MedialAxisProximity:
+            return "ok", math.inf, tol
+
+    return _run_cell(lemma_id, shape, r, k, trials, seed, trial)
+
+
 def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False,
                        ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
     """Barycenters of diameter-r supports stay within r of the shape."""
     if r <= 0:
         raise ValueError("r must be positive")
-    spec = ComplexSpec("vr", r, strict=strict, shape=shape)
-    accept = _vr_accept(spec, ctx)
-    cap = _max_feasible_atoms(shape, accept, k + 1)
-
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        pts, status = _sample_valid_simplex(shape, natoms, accept, r, r / 2, rng)
-        if status != "ok":
-            return status, 0.0, 0.0
-        lam = _dirichlet_weights(natoms, rng)
-        margin = distance_to_shape(shape, lam @ pts) - r
-        return "ok", margin, _tol_for(r, ctx)
-
-    return _run_cell("VrTub", shape, r, k, trials, seed, trial)
+    accept = _vr_accept(ComplexSpec("vr", r, strict=strict, shape=shape), ctx)
+    return _simplex_cell("VrTub", shape, r, k, trials, seed, accept, (r, r / 2),
+                         lambda pts, lam: distance_to_shape(shape, lam @ pts) - r, ctx)
 
 
 def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
@@ -428,24 +383,13 @@ def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
     """Adjoining the retraction point keeps a diameter-r support within
     diameter r: every vertex lies within r of the projected barycenter."""
     _require_scale_below_reach(shape, r)
-    spec = ComplexSpec("vr", r, strict=strict, shape=shape)
-    accept = _vr_accept(spec, ctx)
-    cap = _max_feasible_atoms(shape, accept, k + 1)
+    accept = _vr_accept(ComplexSpec("vr", r, strict=strict, shape=shape), ctx)
 
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        pts, status = _sample_valid_simplex(shape, natoms, accept, r, r / 2, rng)
-        if status != "ok":
-            return status, 0.0, 0.0
-        lam = _dirichlet_weights(natoms, rng)
-        try:
-            p = project(shape, lam @ pts, ctx)
-        except MedialAxisProximity:
-            return "ok", math.inf, _tol_for(r, ctx)
-        margin = float(np.max(np.linalg.norm(pts - p, axis=1))) - r
-        return "ok", margin, _tol_for(r, ctx)
+    def margin(pts, lam):
+        p = project(shape, lam @ pts, ctx)
+        return float(np.max(np.linalg.norm(pts - p, axis=1))) - r
 
-    return _run_cell("VrSimplex", shape, r, k, trials, seed, trial)
+    return _simplex_cell("VrSimplex", shape, r, k, trials, seed, accept, (r, r / 2), margin, ctx)
 
 
 def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
@@ -454,21 +398,10 @@ def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
     some vertex."""
     if r <= 0:
         raise ValueError("r must be positive")
-    spec = ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape)
-    accept = _cech_accept(spec, ctx)
-    cap = _max_feasible_atoms(shape, accept, k + 1)
-
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        pts, status = _sample_valid_simplex(shape, natoms, accept, 2.0 * r, r, rng)
-        if status != "ok":
-            return status, 0.0, 0.0
-        lam = _dirichlet_weights(natoms, rng)
-        x = lam @ pts
-        margin = float(np.min(np.linalg.norm(pts - x, axis=1))) - r
-        return "ok", margin, _tol_for(r, ctx)
-
-    return _run_cell("CechRadius", shape, r, k, trials, seed, trial)
+    accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
+    return _simplex_cell("CechRadius", shape, r, k, trials, seed, accept, (2.0 * r, r),
+                         lambda pts, lam: float(np.min(np.linalg.norm(pts - lam @ pts, axis=1))) - r,
+                         ctx)
 
 
 def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
@@ -476,20 +409,9 @@ def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
     """Barycenters of min-ball-radius-r supports stay within r of the shape."""
     if r <= 0:
         raise ValueError("r must be positive")
-    spec = ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape)
-    accept = _cech_accept(spec, ctx)
-    cap = _max_feasible_atoms(shape, accept, k + 1)
-
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        pts, status = _sample_valid_simplex(shape, natoms, accept, 2.0 * r, r, rng)
-        if status != "ok":
-            return status, 0.0, 0.0
-        lam = _dirichlet_weights(natoms, rng)
-        margin = distance_to_shape(shape, lam @ pts) - r
-        return "ok", margin, _tol_for(r, ctx)
-
-    return _run_cell("CechTub", shape, r, k, trials, seed, trial)
+    accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
+    return _simplex_cell("CechTub", shape, r, k, trials, seed, accept, (2.0 * r, r),
+                         lambda pts, lam: distance_to_shape(shape, lam @ pts) - r, ctx)
 
 
 def _witness_pool(shape, seed: int, trials: int, count: int = 1024) -> np.ndarray:
@@ -507,81 +429,65 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
         raise ValueError(f"flavor must be ambient or intrinsic, got {flavor!r}")
     _require_scale_below_reach(shape, r)
     scale = 2.0 * r
-    lemma_id = "CechSimplexAmbient" if flavor == "ambient" else "CechSimplexIntrinsic"
-
     if flavor == "ambient":
-        spec = ComplexSpec("cech-ambient", scale, strict=strict, shape=shape)
-        accept = _cech_accept(spec, ctx)
-        cap = _max_feasible_atoms(shape, accept, k + 1)
+        accept = _cech_accept(ComplexSpec("cech-ambient", scale, strict=strict, shape=shape), ctx)
+        return _simplex_cell(
+            "CechSimplexAmbient", shape, r, k, trials, seed, accept, (scale, r),
+            lambda pts, lam: min_enclosing_ball(
+                _augment(pts, project(shape, lam @ pts, ctx))).radius - r, ctx)
 
-        def trial(rng):
-            natoms = 1 + int(rng.integers(0, cap))
-            pts, status = _sample_valid_simplex(shape, natoms, accept, scale, r, rng)
-            if status != "ok":
-                return status, 0.0, 0.0
-            lam = _dirichlet_weights(natoms, rng)
-            try:
-                p = project(shape, lam @ pts, ctx)
-            except MedialAxisProximity:
-                return "ok", math.inf, _tol_for(r, ctx)
-            aug = _augment(pts, p)
-            margin = min_enclosing_ball(aug).radius - r
-            return "ok", margin, _tol_for(r, ctx)
+    spec = ComplexSpec("cech-intrinsic", scale, strict=strict, shape=shape)
+    pool = _witness_pool(shape, seed, trials)
+    band = ctx.eps_geo * max(1.0, abs(r))
 
+    def accept(pts, y):
+        # y is an on-shape witness; a cover comfortably below r settles
+        # the existential without the full candidate sweep
+        if float(np.linalg.norm(pts - y, axis=1).max()) <= r - 2.0 * band:
+            return True
+        s = Simplex(tuple(map(tuple, pts)))
+        return is_cech_simplex_intrinsic(s, spec, (tuple(y),), ctx)
+
+    fin = finite_points(shape)
+    if fin is None:
+        cap = k + 1
     else:
-        spec = ComplexSpec("cech-intrinsic", scale, strict=strict, shape=shape)
-        pool = _witness_pool(shape, seed, trials)
-        band = ctx.eps_geo * max(1.0, abs(r))
-
-        def accept(pts, y):
-            # y is an on-shape witness; a cover comfortably below r settles
-            # the existential without the full candidate sweep
-            if float(np.linalg.norm(pts - y, axis=1).max()) <= r - 2.0 * band:
-                return True
+        def accept_any(pts):
             s = Simplex(tuple(map(tuple, pts)))
-            return is_cech_simplex_intrinsic(s, spec, (tuple(y),), ctx)
+            return is_cech_simplex_intrinsic(s, spec, tuple(map(tuple, fin)), ctx)
+        cap = _max_feasible_atoms(shape, accept_any, k + 1)
 
-        fin = _finite_points(shape)
-        if fin is None:
-            cap = k + 1
-        else:
-            def accept_any(pts):
-                s = Simplex(tuple(map(tuple, pts)))
-                return is_cech_simplex_intrinsic(s, spec, tuple(map(tuple, fin)), ctx)
-            cap = _max_feasible_atoms(shape, accept_any, k + 1)
-
-        def trial(rng):
-            natoms = 1 + int(rng.integers(0, cap))
-            pts, y, status = _sample_witnessed_simplex(shape, natoms, accept, r, rng)
-            if status != "ok":
-                return status, 0.0, 0.0
-            lam = _dirichlet_weights(natoms, rng)
+    def trial(rng):
+        natoms = 1 + int(rng.integers(0, cap))
+        pts, y, status = _sample_witnessed_simplex(shape, natoms, accept, r, rng)
+        if status != "ok":
+            return status, 0.0, 0.0
+        lam = _dirichlet_weights(natoms, rng)
+        try:
+            p = project(shape, lam @ pts, ctx)
+        except MedialAxisProximity:
+            return "ok", math.inf, _tol_for(r, ctx)
+        aug = _augment(pts, p)
+        cands = np.vstack([y[None, :], p[None, :], pool])
+        cover = np.max(np.linalg.norm(cands[:, None, :] - aug[None, :, :], axis=2), axis=1)
+        margin = float(np.min(cover)) - r
+        if margin > -2.0 * band:
+            # near or past the threshold: bring in the projected center of
+            # the ambient smallest ball before judging
             try:
-                p = project(shape, lam @ pts, ctx)
+                center = project(shape, np.asarray(min_enclosing_ball(aug).center), ctx)
+                extra = float(np.linalg.norm(center - aug, axis=1).max())
+                margin = min(margin, extra - r)
             except MedialAxisProximity:
-                return "ok", math.inf, _tol_for(r, ctx)
-            aug = _augment(pts, p)
-            cands = np.vstack([y[None, :], p[None, :], pool])
-            cover = np.max(np.linalg.norm(cands[:, None, :] - aug[None, :, :], axis=2), axis=1)
-            margin = float(np.min(cover)) - r
-            if margin > -2.0 * band:
-                # near or past the threshold: bring in the projected center of
-                # the ambient smallest ball before judging
-                try:
-                    center = project(shape, np.asarray(min_enclosing_ball(aug).center), ctx)
-                    extra = float(np.linalg.norm(center - aug, axis=1).max())
-                    margin = min(margin, extra - r)
-                except MedialAxisProximity:
-                    pass
-            return "ok", margin, _tol_for(r, ctx)
+                pass
+        return "ok", margin, _tol_for(r, ctx)
 
-    return _run_cell(lemma_id, shape, r, k, trials, seed, trial)
+    return _run_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, trial)
 
 
 def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Support of [x_0, ..., x_k, p] with an exactly coincident p merged."""
-    close = np.all(np.abs(pts - p) <= _ATOM_MERGE_TOL, axis=1)
-    if np.any(close):
+    """Support of [x_0, ..., x_k, p] with a coincident p merged."""
+    if coincident_rows(pts, p[None, :]).any():
         return pts
     return np.vstack([pts, p[None, :]])
 
@@ -591,7 +497,7 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
     point and centered past it, misses the shape: every point of a dense
     on-shape sample stays at least reach away from the center."""
     tau = reach(shape)
-    fin = _finite_points(shape)
+    fin = finite_points(shape)
     if fin is not None:
         dense = fin
     else:
@@ -647,3 +553,52 @@ def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
         return "starved", 0.0, 0.0
 
     return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, trial)
+
+
+# ---------------------------------------------------------------------------
+# suite table
+
+
+@dataclass(frozen=True)
+class Suite:
+    """How a campaign runs one lemma suite.
+
+    run(shape, r, k, trials, seed, strict) -> LemmaReport; flavors are the
+    campaign flavors that include the suite; needs_reach_gap marks checkers
+    that require r below the reach; a suite that ignores r (uses_r False)
+    runs once per campaign and its report serves every scale.
+    """
+
+    run: Callable
+    flavors: tuple
+    needs_reach_gap: bool = False
+    uses_r: bool = True
+
+
+CAMPAIGN_FLAVORS = ("all", "vr", "cech")
+_VR = ("all", "vr")
+_CECH = ("all", "cech")
+
+# Each entry looks its checker up by module name when called, so a checker
+# replaced on this module (by a tracer or a test) is the one that runs.
+SUITES = {
+    "Convex": Suite(lambda shape, r, k, trials, seed, strict: check_convex_lemma(
+        shape, r, k, trials, seed, strict=strict), CAMPAIGN_FLAVORS),
+    "VrTub": Suite(lambda shape, r, k, trials, seed, strict: check_vr_tub_lemma(
+        shape, r, k, trials, seed, strict=strict), _VR),
+    "VrSimplex": Suite(lambda shape, r, k, trials, seed, strict: check_vr_simplex_lemma(
+        shape, r, k, trials, seed, strict=strict), _VR, needs_reach_gap=True),
+    "CechRadius": Suite(lambda shape, r, k, trials, seed, strict: check_cech_radius_lemma(
+        shape, r, k, trials, seed, strict=strict), _CECH),
+    "CechTub": Suite(lambda shape, r, k, trials, seed, strict: check_cech_tub_lemma(
+        shape, r, k, trials, seed, strict=strict), _CECH),
+    "CechSimplexAmbient": Suite(lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
+        shape, r, k, trials, seed, flavor="ambient", strict=strict), _CECH, needs_reach_gap=True),
+    "CechSimplexIntrinsic": Suite(lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
+        shape, r, k, trials, seed, flavor="intrinsic", strict=strict), _CECH, needs_reach_gap=True),
+    "EmptyBall": Suite(lambda shape, r, k, trials, seed, strict: check_empty_ball(
+        shape, trials, seed), CAMPAIGN_FLAVORS, uses_r=False),
+    "FedererLipschitz": Suite(lambda shape, r, k, trials, seed, strict: check_federer(
+        shape, r, trials, seed), CAMPAIGN_FLAVORS, needs_reach_gap=True),
+}
+LEMMA_IDS = tuple(SUITES)

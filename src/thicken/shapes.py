@@ -14,20 +14,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MedialAxisProximity, UnsupportedShape
-from .euclid import DEFAULT_CTX, GeomContext, as_point, as_points
+from .euclid import DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair
 
 __all__ = [
+    "Shape",
     "Circle",
     "Ellipse",
     "Sphere",
     "Torus",
     "ZeroSphere",
     "FinitePointSet",
-    "TubePoint",
+    "SHAPE_KINDS",
     "ambient_dim",
     "reach",
     "project",
     "distance_to_shape",
+    "finite_points",
     "sample",
     "sample_rng",
     "estimate_reach",
@@ -35,35 +37,79 @@ __all__ = [
 ]
 
 
+class Shape:
+    """A closed subset of R^n with positive reach.
+
+    Each kind is a frozen dataclass whose fields are its descriptor
+    parameters (``kind`` names it in configs). It supplies ``ambient_dim``,
+    ``reach`` and ``label``; ``distance(p)``, ``project(p, ctx)`` and
+    ``sample(count, rng)`` on validated input; ``bounding_box()``; and either
+    ``finite_points()`` (finite kinds) or ``intrinsic_measure()`` (continuous
+    kinds), which size the reach estimator's witness pool. Callers go through
+    the module functions, which check the argument is a shape and validate
+    points.
+    """
+
+    def finite_points(self):
+        """The shape's points as a (k, n) array when it is finite, else None."""
+        return None
+
+
+class _RoundSphere(Shape):
+    """Closed forms shared by Circle and Sphere: the round sphere of
+    ``radius`` about the origin of R^ambient_dim."""
+
+    @property
+    def reach(self) -> float:
+        return self.radius
+
+    def distance(self, p) -> float:
+        return abs(float(np.linalg.norm(p)) - self.radius)
+
+    def project(self, p, ctx):
+        nrm = float(np.linalg.norm(p))
+        if nrm <= self.radius * ctx.eps_med:
+            raise MedialAxisProximity("input at the center: all directions tie")
+        return p * (self.radius / nrm)
+
+    def bounding_box(self):
+        r = self.radius
+        return np.array([[-r] * self.ambient_dim, [r] * self.ambient_dim])
+
+    def intrinsic_measure(self):
+        """(dimension, area) of the (n-1)-sphere of this radius."""
+        n = self.ambient_dim
+        return n - 1, 2.0 * math.pi ** (n / 2) / math.gamma(n / 2) * self.radius ** (n - 1)
+
+
 @dataclass(frozen=True)
-class Circle:
+class Circle(_RoundSphere):
     """Circle of given radius centered at the origin of R^2."""
 
     radius: float = 1.0
+    kind = "circle"
+    ambient_dim = 2
 
     def __post_init__(self):
         if not (self.radius > 0):
             raise UnsupportedShape(f"circle radius must be > 0, got {self.radius}")
 
+    @property
+    def label(self) -> str:
+        return f"circle(R={self.radius:g})"
 
-@dataclass(frozen=True)
-class Ellipse:
-    """Ellipse x^2/a^2 + y^2/b^2 = 1 in R^2 with a >= b > 0."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a >= self.b > 0):
-            raise UnsupportedShape(f"ellipse needs a >= b > 0, got a={self.a}, b={self.b}")
+    def sample(self, count, rng):
+        th = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        return np.column_stack([self.radius * np.cos(th), self.radius * np.sin(th)])
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_RoundSphere):
     """Sphere of given radius about the origin of R^dim, dim >= 2."""
 
-    dim: int
+    dim: int = 3
     radius: float = 1.0
+    kind = "sphere"
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
@@ -71,283 +117,124 @@ class Sphere:
         if not (self.radius > 0):
             raise UnsupportedShape(f"sphere radius must be > 0, got {self.radius}")
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.dim
+
+    @property
+    def label(self) -> str:
+        return f"sphere(dim={self.dim},R={self.radius:g})"
+
+    def sample(self, count, rng):
+        g = rng.normal(size=(count, self.dim))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g * self.radius
+
 
 @dataclass(frozen=True)
-class Torus:
-    """Torus of revolution about the z-axis in R^3: tube radius minor around
-    a circle of radius major in the z=0 plane. Requires major > minor > 0."""
+class Ellipse(Shape):
+    """Ellipse x^2/a^2 + y^2/b^2 = 1 in R^2 with a >= b > 0."""
 
-    major: float
-    minor: float
+    a: float
+    b: float
+    kind = "ellipse"
+    ambient_dim = 2
 
     def __post_init__(self):
-        if not (self.major > self.minor > 0):
-            raise UnsupportedShape(
-                f"torus needs major > minor > 0, got major={self.major}, minor={self.minor}"
-            )
+        if not (self.a >= self.b > 0):
+            raise UnsupportedShape(f"ellipse needs a >= b > 0, got a={self.a}, b={self.b}")
 
+    @property
+    def reach(self) -> float:
+        return self.b * self.b / self.a
 
-@dataclass(frozen=True)
-class ZeroSphere:
-    """The two-point set {-1, +1} in R^1."""
+    @property
+    def label(self) -> str:
+        return f"ellipse(a={self.a:g},b={self.b:g})"
 
+    def _nearest(self, x: np.ndarray):
+        """Nearest point(s) on the ellipse.
 
-@dataclass(frozen=True)
-class FinitePointSet:
-    """A finite set of at least two distinct points in R^n."""
+        Returns (foot, dist, tied). Works in the first quadrant by symmetry
+        and solves F(t) = (a*u1/(t+a^2))^2 + (b*u2/(t+b^2))^2 - 1 = 0 on t in
+        (-b^2, inf) by safeguarded Newton (bisection fallback), 80
+        iterations, residual 1e-12. F is strictly decreasing there, so the
+        root is unique.
+        """
+        a, b = self.a, self.b
+        u1, u2 = abs(x[0]), abs(x[1])
+        s1 = 1.0 if x[0] >= 0 else -1.0
+        s2 = 1.0 if x[1] >= 0 else -1.0
 
-    points: tuple = field(default=())
+        if u2 == 0.0:
+            cusp = (a * a - b * b) / a
+            if u1 >= cusp:
+                foot = np.array([s1 * a, 0.0])
+                return foot, abs(u1 - a), False
+            if a == b:
+                # circle degenerates: center only
+                if u1 == 0.0:
+                    return np.array([a, 0.0]), a, True
+                foot = np.array([s1 * a, 0.0])
+                return foot, a - u1, False
+            # two symmetric feet off-axis
+            c = a * u1 / (a * a - b * b)
+            y2 = b * math.sqrt(max(0.0, 1.0 - c * c))
+            foot = np.array([s1 * a * c, y2])
+            d = math.hypot(a * c - u1, y2)
+            return foot, d, True
 
-    def __post_init__(self):
-        pts = as_points(self.points)
-        if pts.shape[0] < 2:
-            raise UnsupportedShape("finite point set needs at least 2 points")
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        iu = np.triu_indices(pts.shape[0], k=1)
-        if d2[iu].min() <= 0:
-            raise UnsupportedShape("finite point set has duplicate points")
-        object.__setattr__(self, "points", tuple(tuple(p) for p in pts))
+        lo = b * u2 - b * b          # F(lo) >= 0 (second term equals 1 there)
+        hi = math.hypot(a * u1, b * u2) - b * b   # F(hi) <= 0
+        if hi <= lo:
+            hi = lo + max(1.0, abs(lo))
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        def f_and_df(t):
+            p = a * u1 / (t + a * a)
+            q = b * u2 / (t + b * b)
+            f = p * p + q * q - 1.0
+            df = -2.0 * (p * p / (t + a * a) + q * q / (t + b * b))
+            return f, df
 
+        t = 0.5 * (lo + hi)
+        for _ in range(80):
+            f, df = f_and_df(t)
+            if abs(f) <= 1e-12:
+                break
+            if f > 0:
+                lo = t
+            else:
+                hi = t
+            t_new = t - f / df if df != 0 else t
+            if not (lo < t_new < hi):
+                t_new = 0.5 * (lo + hi)
+            if t_new == t:
+                break
+            t = t_new
 
-Shape = (Circle, Ellipse, Sphere, Torus, ZeroSphere, FinitePointSet)
+        foot = np.array([s1 * a * a * u1 / (t + a * a), s2 * b * b * u2 / (t + b * b)])
+        d = math.hypot(foot[0] - x[0], foot[1] - x[1])
+        return foot, d, False
 
+    def distance(self, p) -> float:
+        return self._nearest(p)[1]
 
-def ambient_dim(shape) -> int:
-    if isinstance(shape, (Circle, Ellipse)):
-        return 2
-    if isinstance(shape, Sphere):
-        return shape.dim
-    if isinstance(shape, Torus):
-        return 3
-    if isinstance(shape, ZeroSphere):
-        return 1
-    if isinstance(shape, FinitePointSet):
-        return len(shape.points[0])
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-def reach(shape) -> float:
-    """Exact reach by closed form."""
-    if isinstance(shape, Circle):
-        return shape.radius
-    if isinstance(shape, Sphere):
-        return shape.radius
-    if isinstance(shape, Ellipse):
-        return shape.b * shape.b / shape.a
-    if isinstance(shape, Torus):
-        return min(shape.minor, shape.major - shape.minor)
-    if isinstance(shape, ZeroSphere):
-        return 1.0
-    if isinstance(shape, FinitePointSet):
-        pts = shape.array()
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        iu = np.triu_indices(pts.shape[0], k=1)
-        return 0.5 * float(np.sqrt(d2[iu].min()))
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-def shape_label(shape) -> str:
-    """Canonical short label used in CSV rows and reports."""
-    if isinstance(shape, Circle):
-        return f"circle(R={shape.radius:g})"
-    if isinstance(shape, Ellipse):
-        return f"ellipse(a={shape.a:g},b={shape.b:g})"
-    if isinstance(shape, Sphere):
-        return f"sphere(dim={shape.dim},R={shape.radius:g})"
-    if isinstance(shape, Torus):
-        return f"torus(R={shape.major:g},rho={shape.minor:g})"
-    if isinstance(shape, ZeroSphere):
-        return "zerosphere"
-    if isinstance(shape, FinitePointSet):
-        return f"finite(n={len(shape.points)})"
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-# ---------------------------------------------------------------------------
-# distance / nearest point
-
-
-def _ellipse_nearest(shape: Ellipse, x: np.ndarray):
-    """Nearest point(s) on the ellipse.
-
-    Returns (foot, dist, tied). Works in the first quadrant by symmetry and
-    solves F(t) = (a*u1/(t+a^2))^2 + (b*u2/(t+b^2))^2 - 1 = 0 on t in
-    (-b^2, inf) by safeguarded Newton (bisection fallback), 80 iterations,
-    residual 1e-12. F is strictly decreasing there, so the root is unique.
-    """
-    a, b = shape.a, shape.b
-    u1, u2 = abs(x[0]), abs(x[1])
-    s1 = 1.0 if x[0] >= 0 else -1.0
-    s2 = 1.0 if x[1] >= 0 else -1.0
-
-    if u2 == 0.0:
-        cusp = (a * a - b * b) / a
-        if u1 >= cusp:
-            foot = np.array([s1 * a, 0.0])
-            return foot, abs(u1 - a), False
-        if a == b:
-            # circle degenerates: center only
-            if u1 == 0.0:
-                return np.array([a, 0.0]), a, True
-            foot = np.array([s1 * a, 0.0])
-            return foot, a - u1, False
-        # two symmetric feet off-axis
-        c = a * u1 / (a * a - b * b)
-        y2 = b * math.sqrt(max(0.0, 1.0 - c * c))
-        foot = np.array([s1 * a * c, y2])
-        d = math.hypot(a * c - u1, y2)
-        return foot, d, True
-
-    lo = b * u2 - b * b          # F(lo) >= 0 (second term equals 1 there)
-    hi = math.hypot(a * u1, b * u2) - b * b   # F(hi) <= 0
-    if hi <= lo:
-        hi = lo + max(1.0, abs(lo))
-
-    def f_and_df(t):
-        p = a * u1 / (t + a * a)
-        q = b * u2 / (t + b * b)
-        f = p * p + q * q - 1.0
-        df = -2.0 * (p * p / (t + a * a) + q * q / (t + b * b))
-        return f, df
-
-    t = 0.5 * (lo + hi)
-    for _ in range(80):
-        f, df = f_and_df(t)
-        if abs(f) <= 1e-12:
-            break
-        if f > 0:
-            lo = t
-        else:
-            hi = t
-        t_new = t - f / df if df != 0 else t
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if t_new == t:
-            break
-        t = t_new
-
-    foot = np.array([s1 * a * a * u1 / (t + a * a), s2 * b * b * u2 / (t + b * b)])
-    d = math.hypot(foot[0] - x[0], foot[1] - x[1])
-    return foot, d, False
-
-
-def distance_to_shape(shape, x) -> float:
-    """Distance from x to the shape; defined everywhere."""
-    p = as_point(x, dim=ambient_dim(shape))
-    if isinstance(shape, (Circle, Sphere)):
-        r = shape.radius
-        return abs(float(np.linalg.norm(p)) - r)
-    if isinstance(shape, Ellipse):
-        return _ellipse_nearest(shape, p)[1]
-    if isinstance(shape, Torus):
-        rho_xy = math.hypot(p[0], p[1])
-        return abs(math.hypot(rho_xy - shape.major, p[2]) - shape.minor)
-    if isinstance(shape, ZeroSphere):
-        return min(abs(p[0] - 1.0), abs(p[0] + 1.0))
-    if isinstance(shape, FinitePointSet):
-        pts = shape.array()
-        return float(np.sqrt(((pts - p) ** 2).sum(axis=1).min()))
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-def project(shape, x, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
-    """Unique nearest point on the shape.
-
-    Raises MedialAxisProximity when two nearest-point candidates tie within
-    relative eps_med, i.e. when x sits at (or numerically near) the medial
-    axis. Uniqueness everywhere else follows from each kind's geometry;
-    inside the reach tube it is guaranteed for every kind.
-    """
-    p = as_point(x, dim=ambient_dim(shape))
-    tau = reach(shape)
-
-    if isinstance(shape, (Circle, Sphere)):
-        nrm = float(np.linalg.norm(p))
-        if nrm <= shape.radius * ctx.eps_med:
-            raise MedialAxisProximity("input at the center: all directions tie")
-        return p * (shape.radius / nrm)
-
-    if isinstance(shape, Ellipse):
-        foot, d, tied = _ellipse_nearest(shape, p)
+    def project(self, p, ctx):
+        foot, d, tied = self._nearest(p)
         if tied:
             raise MedialAxisProximity("two symmetric nearest points tie on the ellipse")
         # competing foot on the mirrored branch nearly ties near the medial
         # axis, the major-axis segment |x0| < (a^2 - b^2)/a; past its end the
         # nearest point is unique however close x sits to the axis
         mirrored = math.hypot(foot[0] - p[0], -foot[1] - p[1])
-        cusp = (shape.a * shape.a - shape.b * shape.b) / shape.a
-        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= ctx.eps_med * tau:
+        cusp = (self.a * self.a - self.b * self.b) / self.a
+        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= ctx.eps_med * self.reach:
             raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
         return foot
 
-    if isinstance(shape, Torus):
-        rho_xy = math.hypot(p[0], p[1])
-        if rho_xy <= shape.major * ctx.eps_med:
-            raise MedialAxisProximity("input on the torus axis: a circle of nearest points")
-        spine = np.array([p[0], p[1], 0.0]) * (shape.major / rho_xy)
-        v = p - spine
-        vn = float(np.linalg.norm(v))
-        if vn <= shape.minor * ctx.eps_med:
-            raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
-        return spine + v * (shape.minor / vn)
-
-    if isinstance(shape, ZeroSphere):
-        d_plus = abs(p[0] - 1.0)
-        d_minus = abs(p[0] + 1.0)
-        if abs(d_plus - d_minus) <= ctx.eps_med * tau:
-            raise MedialAxisProximity("equidistant from -1 and +1")
-        return np.array([1.0 if d_plus < d_minus else -1.0])
-
-    if isinstance(shape, FinitePointSet):
-        pts = shape.array()
-        dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
-        order = np.argsort(dists, kind="stable")
-        d1, d2 = dists[order[0]], dists[order[1]]
-        if d2 - d1 <= ctx.eps_med * max(d1, tau):
-            raise MedialAxisProximity("two sample points tie as nearest")
-        return pts[order[0]].copy()
-
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-@dataclass(frozen=True)
-class TubePoint:
-    """A point certified to lie strictly inside the reach tube of a shape."""
-
-    point: tuple
-    base_shape: object
-    dist_to_shape: float
-
-    def __post_init__(self):
-        p = as_point(self.point, dim=ambient_dim(self.base_shape))
-        d = distance_to_shape(self.base_shape, p)
-        if not (d < reach(self.base_shape)):
-            raise MedialAxisProximity(
-                f"point at distance {d:g} is outside the open reach tube"
-            )
-        object.__setattr__(self, "point", tuple(p))
-        object.__setattr__(self, "dist_to_shape", float(d))
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` on-shape points using the supplied generator."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(shape, Circle):
-        th = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        return np.column_stack([shape.radius * np.cos(th), shape.radius * np.sin(th)])
-    if isinstance(shape, Ellipse):
+    def sample(self, count, rng):
         # angle proposal thinned to arc-length measure
-        a, b = shape.a, shape.b
+        a, b = self.a, self.b
         out = np.empty((count, 2))
         got = 0
         while got < count:
@@ -360,12 +247,58 @@ def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
             out[got:got + take, 1] = b * np.sin(keep[:take])
             got += take
         return out
-    if isinstance(shape, Sphere):
-        g = rng.normal(size=(count, shape.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g * shape.radius
-    if isinstance(shape, Torus):
-        R, rho = shape.major, shape.minor
+
+    def bounding_box(self):
+        return np.array([[-self.a, -self.b], [self.a, self.b]])
+
+    def intrinsic_measure(self):
+        """(1, perimeter) by Ramanujan's second approximation."""
+        a, b = self.a, self.b
+        h = ((a - b) / (a + b)) ** 2
+        return 1, math.pi * (a + b) * (1.0 + 3.0 * h / (10.0 + math.sqrt(4.0 - 3.0 * h)))
+
+
+@dataclass(frozen=True)
+class Torus(Shape):
+    """Torus of revolution about the z-axis in R^3: tube radius minor around
+    a circle of radius major in the z=0 plane. Requires major > minor > 0."""
+
+    major: float
+    minor: float
+    kind = "torus"
+    ambient_dim = 3
+
+    def __post_init__(self):
+        if not (self.major > self.minor > 0):
+            raise UnsupportedShape(
+                f"torus needs major > minor > 0, got major={self.major}, minor={self.minor}"
+            )
+
+    @property
+    def reach(self) -> float:
+        return min(self.minor, self.major - self.minor)
+
+    @property
+    def label(self) -> str:
+        return f"torus(R={self.major:g},rho={self.minor:g})"
+
+    def distance(self, p) -> float:
+        rho_xy = math.hypot(p[0], p[1])
+        return abs(math.hypot(rho_xy - self.major, p[2]) - self.minor)
+
+    def project(self, p, ctx):
+        rho_xy = math.hypot(p[0], p[1])
+        if rho_xy <= self.major * ctx.eps_med:
+            raise MedialAxisProximity("input on the torus axis: a circle of nearest points")
+        spine = np.array([p[0], p[1], 0.0]) * (self.major / rho_xy)
+        v = p - spine
+        vn = float(np.linalg.norm(v))
+        if vn <= self.minor * ctx.eps_med:
+            raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
+        return spine + v * (self.minor / vn)
+
+    def sample(self, count, rng):
+        R, rho = self.major, self.minor
         out = np.empty((count, 3))
         got = 0
         while got < count:
@@ -381,12 +314,155 @@ def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
             out[got:got + take, 2] = rho * np.sin(ph[:take])
             got += take
         return out
-    if isinstance(shape, ZeroSphere):
-        return rng.choice(np.array([[-1.0], [1.0]]), size=count)
-    if isinstance(shape, FinitePointSet):
-        pts = shape.array()
+
+    def bounding_box(self):
+        e = self.major + self.minor
+        return np.array([[-e, -e, -self.minor], [e, e, self.minor]])
+
+    def intrinsic_measure(self):
+        return 2, 4.0 * math.pi ** 2 * self.major * self.minor
+
+
+@dataclass(frozen=True)
+class ZeroSphere(Shape):
+    """The two-point set {-1, +1} in R^1."""
+
+    kind = "zerosphere"
+    ambient_dim = 1
+    reach = 1.0
+    label = "zerosphere"
+
+    def distance(self, p) -> float:
+        return min(abs(p[0] - 1.0), abs(p[0] + 1.0))
+
+    def project(self, p, ctx):
+        d_plus = abs(p[0] - 1.0)
+        d_minus = abs(p[0] + 1.0)
+        if abs(d_plus - d_minus) <= ctx.eps_med * self.reach:
+            raise MedialAxisProximity("equidistant from -1 and +1")
+        return np.array([1.0 if d_plus < d_minus else -1.0])
+
+    def sample(self, count, rng):
+        return rng.choice(self.finite_points(), size=count)
+
+    def finite_points(self):
+        return np.array([[-1.0], [1.0]])
+
+    def bounding_box(self):
+        return self.finite_points()
+
+
+@dataclass(frozen=True)
+class FinitePointSet(Shape):
+    """A finite set of at least two distinct points in R^n."""
+
+    points: tuple = field(default=())
+    kind = "finite"
+
+    def __post_init__(self):
+        pts = as_points(self.points)
+        if pts.shape[0] < 2:
+            raise UnsupportedShape("finite point set needs at least 2 points")
+        if coincident_pair(pts) is not None:
+            raise UnsupportedShape("finite point set has duplicate points")
+        object.__setattr__(self, "points", tuple(tuple(p) for p in pts))
+
+    def array(self) -> np.ndarray:
+        return np.asarray(self.points, dtype=float)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.points[0])
+
+    @property
+    def reach(self) -> float:
+        pts = self.array()
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        iu = np.triu_indices(pts.shape[0], k=1)
+        return 0.5 * float(np.sqrt(d2[iu].min()))
+
+    @property
+    def label(self) -> str:
+        return f"finite(n={len(self.points)})"
+
+    def distance(self, p) -> float:
+        return float(np.sqrt(((self.array() - p) ** 2).sum(axis=1).min()))
+
+    def project(self, p, ctx):
+        pts = self.array()
+        dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
+        order = np.argsort(dists, kind="stable")
+        d1, d2 = dists[order[0]], dists[order[1]]
+        if d2 - d1 <= ctx.eps_med * max(d1, self.reach):
+            raise MedialAxisProximity("two sample points tie as nearest")
+        return pts[order[0]].copy()
+
+    def sample(self, count, rng):
+        pts = self.array()
         return pts[rng.integers(0, pts.shape[0], size=count)]
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
+
+    def finite_points(self):
+        return self.array()
+
+    def bounding_box(self):
+        pts = self.array()
+        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
+
+
+SHAPE_KINDS = {cls.kind: cls for cls in (Circle, Ellipse, Sphere, Torus, ZeroSphere, FinitePointSet)}
+
+
+# ---------------------------------------------------------------------------
+# module functions: the one kind check, then the shape's own closed form
+
+
+def _shape(obj) -> Shape:
+    if not isinstance(obj, Shape):
+        raise UnsupportedShape(f"unsupported shape {obj!r}")
+    return obj
+
+
+def ambient_dim(shape) -> int:
+    return _shape(shape).ambient_dim
+
+
+def reach(shape) -> float:
+    """Exact reach by closed form."""
+    return _shape(shape).reach
+
+
+def shape_label(shape) -> str:
+    """Canonical short label used in CSV rows and reports."""
+    return _shape(shape).label
+
+
+def finite_points(shape):
+    """The points of a finite shape as a (k, n) array; None for a continuous one."""
+    return _shape(shape).finite_points()
+
+
+def distance_to_shape(shape, x) -> float:
+    """Distance from x to the shape; defined everywhere."""
+    return _shape(shape).distance(as_point(x, dim=shape.ambient_dim))
+
+
+def project(shape, x, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
+    """Unique nearest point on the shape.
+
+    Raises MedialAxisProximity when two nearest-point candidates tie within
+    relative eps_med, i.e. when x sits at (or numerically near) the medial
+    axis. Uniqueness everywhere else follows from each kind's geometry;
+    inside the reach tube it is guaranteed for every kind.
+    """
+    return _shape(shape).project(as_point(x, dim=shape.ambient_dim), ctx)
+
+
+def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` on-shape points using the supplied generator."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return _shape(shape).sample(count, rng)
 
 
 def sample(shape, count: int, seed: int) -> np.ndarray:
@@ -396,47 +472,6 @@ def sample(shape, count: int, seed: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # brute-force reach estimation (oracle)
-
-
-def _bounding_box(shape):
-    if isinstance(shape, Circle):
-        r = shape.radius
-        return np.array([[-r, -r], [r, r]])
-    if isinstance(shape, Ellipse):
-        return np.array([[-shape.a, -shape.b], [shape.a, shape.b]])
-    if isinstance(shape, Sphere):
-        r = shape.radius
-        return np.array([[-r] * shape.dim, [r] * shape.dim])
-    if isinstance(shape, Torus):
-        e = shape.major + shape.minor
-        return np.array([[-e, -e, -shape.minor], [e, e, shape.minor]])
-    if isinstance(shape, ZeroSphere):
-        return np.array([[-1.0], [1.0]])
-    if isinstance(shape, FinitePointSet):
-        pts = shape.array()
-        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
-    raise UnsupportedShape(f"unsupported shape {shape!r}")
-
-
-def _measure_1d(shape) -> float:
-    """Perimeter-style intrinsic size used to size witness pools."""
-    if isinstance(shape, Circle):
-        return 2.0 * math.pi * shape.radius
-    if isinstance(shape, Ellipse):
-        a, b = shape.a, shape.b
-        h = ((a - b) / (a + b)) ** 2
-        return math.pi * (a + b) * (1.0 + 3.0 * h / (10.0 + math.sqrt(4.0 - 3.0 * h)))
-    if isinstance(shape, Sphere) and shape.dim == 2:
-        return 2.0 * math.pi * shape.radius
-    return 0.0
-
-
-def _measure_2d(shape) -> float:
-    if isinstance(shape, Sphere) and shape.dim == 3:
-        return 4.0 * math.pi * shape.radius ** 2
-    if isinstance(shape, Torus):
-        return 4.0 * math.pi ** 2 * shape.major * shape.minor
-    return 0.0
 
 
 def _lattice_points(center, lo, hi, h):
@@ -517,7 +552,7 @@ def estimate_reach(shape, grid_density: int) -> float:
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
 
-    box = _bounding_box(shape)
+    box = shape.bounding_box()
     center = 0.5 * (box[0] + box[1])
     extent = box[1] - box[0]
     span = float(extent.max())
@@ -526,18 +561,17 @@ def estimate_reach(shape, grid_density: int) -> float:
     h0 = float((hi0 - lo0).max()) / grid_density
 
     rng = np.random.default_rng(20260813)
-    if isinstance(shape, (ZeroSphere, FinitePointSet)):
-        pool = shape.array() if isinstance(shape, FinitePointSet) else np.array([[-1.0], [1.0]])
+    pool = shape.finite_points()
+    if pool is not None:
         spacing = 0.0
     else:
-        per = _measure_1d(shape)
-        if per > 0:
+        idim, size = shape.intrinsic_measure()
+        if idim == 1:
             pool = sample_rng(shape, 12000, rng)
-            spacing = per / pool.shape[0]
+            spacing = size / pool.shape[0]
         else:
-            area = _measure_2d(shape)
             pool = sample_rng(shape, 60000, rng)
-            spacing = math.sqrt(area / pool.shape[0])
+            spacing = math.sqrt(size / pool.shape[0])
     tree = cKDTree(pool)
 
     tau_hat = 0.5 * float(extent.min())

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, SizeLimit
-from .euclid import as_point, as_points
+from .euclid import as_point, as_points, coincident_pair
 
 _MAX_ATOMS = 64
 _ZERO_WEIGHT = 1e-14
@@ -25,9 +25,10 @@ _RENORM_DRIFT = 1e-10
 
 @dataclass(frozen=True)
 class Measure:
-    """Finitely supported probability measure: distinct atoms, positive
-    weights summing to 1. Near-zero weights are dropped at construction and
-    the rest renormalized (drift capped at 1e-10)."""
+    """Finitely supported probability measure: distinct atoms (apart by more
+    than 1e-12 in some coordinate), positive weights summing to 1. Near-zero
+    weights are dropped at construction and the rest renormalized (drift
+    capped at 1e-10)."""
 
     support: tuple
     weights: tuple
@@ -53,10 +54,9 @@ class Measure:
         if abs(total - 1.0) > _RENORM_DRIFT:
             raise ValueError(f"weights sum to {total!r}, off by more than {_RENORM_DRIFT}")
         w = w / total
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.array_equal(pts[i], pts[j]):
-                    raise ValueError(f"support atoms {i} and {j} coincide")
+        pair = coincident_pair(pts)
+        if pair is not None:
+            raise ValueError("support atoms %d and %d coincide" % pair)
         object.__setattr__(self, "support", tuple(tuple(map(float, p)) for p in pts))
         object.__setattr__(self, "weights", tuple(map(float, w)))
 

@@ -4,15 +4,11 @@ import pytest
 
 from thicken import AmbiguousPredicate, DimensionMismatch, GeomContext
 from thicken.euclid import (
-    Ball,
-    HalfSpace,
     as_point,
     as_points,
-    ball_contains,
     convex_combination,
     diameter,
     distance,
-    half_space_contains,
     threshold_compare,
 )
 
@@ -107,34 +103,15 @@ def test_hull_point_outside_convex_set_forces_a_generator_outside():
         w /= w.sum()
         y = convex_combination(pts, w)
         if rng.random() < 0.5:
-            c = Ball(center=tuple(rng.normal(size=2)), radius=float(rng.random() * 2))
-            if not ball_contains(c, y):
-                assert any(not ball_contains(c, p) for p in pts)
+            # closed ball
+            center, radius = rng.normal(size=2), rng.random() * 2
+            if np.linalg.norm(y - center) > radius:
+                assert np.any(np.linalg.norm(pts - center, axis=1) > radius)
         else:
-            h = HalfSpace(anchor=tuple(rng.normal(size=2)),
-                          normal=tuple(rng.normal(size=2)))
-            # complement of the open half-space is convex (closed half-space)
-            if half_space_contains(h, y):
-                assert any(half_space_contains(h, p) for p in pts)
-
-
-def test_half_space_membership_is_strict():
-    h = HalfSpace(anchor=(0.0, 0.0), normal=(1.0, 0.0))
-    assert half_space_contains(h, [0.5, 3.0])
-    assert not half_space_contains(h, [0.0, 1.0])  # boundary excluded
-    assert not half_space_contains(h, [-0.1, 0.0])
-    with pytest.raises(ValueError):
-        HalfSpace(anchor=(0.0, 0.0), normal=(0.0, 0.0))
-
-
-def test_ball_membership_honors_boundary_flag():
-    closed = Ball(center=(0.0,), radius=1.0)
-    opened = Ball(center=(0.0,), radius=1.0, open=True)
-    assert ball_contains(closed, [1.0])
-    assert not ball_contains(opened, [1.0])
-    assert ball_contains(opened, [0.999999])
-    with pytest.raises(ValueError):
-        Ball(center=(0.0,), radius=-1.0)
+            # closed half-space {z : <z - anchor, normal> <= 0}
+            anchor, normal = rng.normal(size=2), rng.normal(size=2)
+            if (y - anchor) @ normal > 0:
+                assert np.any((pts - anchor) @ normal > 0)
 
 
 def test_threshold_compare_exact_equality_decides_by_strictness():

@@ -71,6 +71,7 @@ def test_parse_config_all_shape_kinds():
     "shape=circle radius=1\nr=0.5\nlemmas=NotALemma",
     "shape=circle radius=1\nr=0.5\nflavor=quantum",
     "shape=circle radius=1\nr=0.5 extra",       # token without '='
+    "shape=circle radius=1\nr=0.5\nflavor=cech\nlemmas=VrTub",  # suite outside flavor
 ))
 def test_parse_config_rejections(text):
     with pytest.raises(ConfigError):
@@ -86,6 +87,24 @@ def test_tightness_mode_allows_boundary_and_skips_reach_gap_suites():
     assert {row["lemma_id"] for row in skipped} == {
         "VrSimplex", "CechSimplexAmbient", "CechSimplexIntrinsic", "FedererLipschitz"}
     assert ran  # the precondition-free suites still execute
+
+
+def test_r_independent_suite_runs_once_per_campaign(monkeypatch):
+    import thicken.retraction as retraction
+
+    calls = []
+    real = retraction.check_empty_ball
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(retraction, "check_empty_ball", counting)
+    cfg = CampaignConfig(shape=Circle(1.0), rs=(0.3, 0.6, 0.9), trials=20,
+                         lemmas=("EmptyBall",))
+    res = run_campaign(cfg)
+    assert len(calls) == 1
+    assert len(res.rows) == 3 and res.rows[0] == res.rows[1] == res.rows[2]
 
 
 def test_campaign_rows_cover_grid_in_order():
@@ -200,6 +219,9 @@ def test_cli_project_exit_codes():
     assert "medial-axis" in tie.stderr
     bad = run_cli("project", "shape=circle radius=1", "0,0,0")
     assert bad.returncode == 2
+    foreign = run_cli("project", "shape=circle radius=1 trials=5", "2,0")
+    assert foreign.returncode == 2
+    assert "trials" in foreign.stderr
 
 
 def test_cli_experiment_unknown_name():

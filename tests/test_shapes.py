@@ -23,7 +23,6 @@ from thicken import (
     sample_rng,
     shape_label,
 )
-from thicken.shapes import TubePoint
 
 ALL_SHAPES = (
     Circle(1.0),
@@ -50,6 +49,21 @@ def test_constructor_guards():
         FinitePointSet(((0.0,),))  # needs 2 points
     with pytest.raises(UnsupportedShape):
         FinitePointSet(((0.0,), (0.0,)))  # duplicates
+
+
+@pytest.mark.parametrize("call", (
+    lambda s: ambient_dim(s),
+    lambda s: reach(s),
+    lambda s: shape_label(s),
+    lambda s: distance_to_shape(s, [0.0, 0.0]),
+    lambda s: project(s, [1.0, 0.0]),
+    lambda s: sample_rng(s, 3, np.random.default_rng(0)),
+    lambda s: estimate_reach(s, 10),
+), ids=("ambient_dim", "reach", "shape_label", "distance_to_shape", "project",
+        "sample_rng", "estimate_reach"))
+def test_shape_functions_reject_non_shapes(call):
+    with pytest.raises(UnsupportedShape):
+        call(object())
 
 
 def test_reach_closed_forms():
@@ -172,13 +186,6 @@ def test_projection_is_idempotent_on_shape_points():
     for shape in ALL_SHAPES:
         for s in sample_rng(shape, 25, rng):
             assert np.allclose(project(shape, s), s, atol=1e-12)
-
-
-def test_tube_point_certificate():
-    tp = TubePoint((1.5, 0.0), Circle(1.0), 0.0)
-    assert tp.dist_to_shape == 0.5  # recomputed, not trusted from the caller
-    with pytest.raises(MedialAxisProximity):
-        TubePoint((3.0, 0.0), Circle(1.0), 0.0)  # distance 2 >= reach 1
 
 
 @pytest.mark.parametrize("shape", (Circle(1.0), Ellipse(2.0, 1.0), Sphere(3, 1.0)),

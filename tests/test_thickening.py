@@ -141,6 +141,14 @@ def test_thickening_point_constructor_type_checks():
         ThickeningPoint(Measure(((0.0,),), (1.0,)), "nope")
 
 
+def test_near_coincident_atoms_fail_in_the_measure():
+    # atoms 1e-13 apart coincide under the one 1e-12 tolerance: the measure
+    # refuses them, so make_thickening_point never builds their simplex
+    with pytest.raises(ValueError, match="support atoms 0 and 1 coincide"):
+        make_thickening_point(Measure(((1.0, 0.0), (1.0 + 1e-13, 0.0)), (0.5, 0.5)),
+                              ComplexSpec("vr", 0.5))
+
+
 def test_inclusion_iota_on_and_off_shape():
     shape = Circle(1.0)
     spec = ComplexSpec("vr", 0.5, shape=shape)
