@@ -399,9 +399,11 @@ def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
     if r <= 0:
         raise ValueError("r must be positive")
     accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
-    return _simplex_cell("CechRadius", shape, r, k, trials, seed, accept, (2.0 * r, r),
-                         lambda pts, lam: float(np.min(np.linalg.norm(pts - lam @ pts, axis=1))) - r,
-                         ctx)
+
+    def margin(pts, lam):
+        return float(np.min(np.linalg.norm(pts - lam @ pts, axis=1))) - r
+
+    return _simplex_cell("CechRadius", shape, r, k, trials, seed, accept, (2.0 * r, r), margin, ctx)
 
 
 def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
@@ -592,10 +594,14 @@ SUITES = {
         shape, r, k, trials, seed, strict=strict), _CECH),
     "CechTub": Suite(lambda shape, r, k, trials, seed, strict: check_cech_tub_lemma(
         shape, r, k, trials, seed, strict=strict), _CECH),
-    "CechSimplexAmbient": Suite(lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
-        shape, r, k, trials, seed, flavor="ambient", strict=strict), _CECH, needs_reach_gap=True),
-    "CechSimplexIntrinsic": Suite(lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
-        shape, r, k, trials, seed, flavor="intrinsic", strict=strict), _CECH, needs_reach_gap=True),
+    "CechSimplexAmbient": Suite(
+        lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
+            shape, r, k, trials, seed, flavor="ambient", strict=strict),
+        _CECH, needs_reach_gap=True),
+    "CechSimplexIntrinsic": Suite(
+        lambda shape, r, k, trials, seed, strict: check_cech_simplex_lemma(
+            shape, r, k, trials, seed, flavor="intrinsic", strict=strict),
+        _CECH, needs_reach_gap=True),
     "EmptyBall": Suite(lambda shape, r, k, trials, seed, strict: check_empty_ball(
         shape, trials, seed), CAMPAIGN_FLAVORS, uses_r=False),
     "FedererLipschitz": Suite(lambda shape, r, k, trials, seed, strict: check_federer(

@@ -410,7 +410,9 @@ class FinitePointSet(Shape):
         return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
 
-SHAPE_KINDS = {cls.kind: cls for cls in (Circle, Ellipse, Sphere, Torus, ZeroSphere, FinitePointSet)}
+# descriptor kind -> shape class
+SHAPE_KINDS = {cls.kind: cls
+               for cls in (Circle, Ellipse, Sphere, Torus, ZeroSphere, FinitePointSet)}
 
 
 # ---------------------------------------------------------------------------
