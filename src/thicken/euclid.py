@@ -122,11 +122,11 @@ def coincident_rows(a, b) -> np.ndarray:
 def coincident_pair(points):
     """First pair (i, j), i < j in row-major order, of coinciding rows of
     `points`; None when all rows are distinct."""
-    close = np.triu(coincident_rows(points, points), 1)
-    if not close.any():
+    i, j = np.nonzero(coincident_rows(points, points))
+    upper = np.flatnonzero(i < j)
+    if upper.size == 0:
         return None
-    i, j = np.argwhere(close)[0]
-    return int(i), int(j)
+    return int(i[upper[0]]), int(j[upper[0]])
 
 
 def threshold_compare(value: float, threshold: float, strict: bool,

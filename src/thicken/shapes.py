@@ -343,7 +343,9 @@ class ZeroSphere(Shape):
         return np.array([1.0 if d_plus < d_minus else -1.0])
 
     def sample(self, count, rng):
-        return rng.choice(self.finite_points(), size=count)
+        # rng.integers draws exactly what rng.choice over the two points
+        # would, at a fraction of its call overhead
+        return self.finite_points()[rng.integers(0, 2, size=count)]
 
     def finite_points(self):
         return np.array([[-1.0], [1.0]])
