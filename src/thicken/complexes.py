@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AmbiguousPredicate, MedialAxisProximity, SizeLimit
 from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, diameter,
-                     threshold_compare)
+                     max_row_norm, norm, threshold_compare)
 from .shapes import project
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
@@ -40,8 +40,6 @@ class Simplex:
 
     def __post_init__(self):
         pts = as_points([as_point(v) for v in self.vertices])
-        if pts.shape[0] == 0:
-            raise ValueError("simplex needs at least one vertex")
         pair = coincident_pair(pts)
         if pair is not None:
             raise ValueError("vertices %d and %d coincide" % pair)
@@ -81,28 +79,28 @@ class MinBallResult:
     radius: float
 
 
-def _ball_from_support(support: list) -> tuple:
-    """Smallest ball with all support points on its boundary.
+def _ball_from_support(pts: np.ndarray, support: tuple) -> tuple:
+    """Smallest ball with the rows `support` of pts all on its boundary.
 
     center = p0 + sum alpha_i (p_i - p0) where the Gram system
     (V V^T) alpha = |v_i|^2 / 2 places the center equidistant from all
     support points; least squares keeps the center in the affine hull when
-    the support is degenerate.
+    the support is degenerate. A pair's 1x1 system is LAPACK's one division.
     """
     if not support:
         return None, -1.0
-    p0 = support[0]
+    p0 = pts[support[0]]
     if len(support) == 1:
         return p0.copy(), 0.0
-    V = np.asarray(support[1:]) - p0
+    V = pts[list(support[1:])] - p0
     gram = V @ V.T
     rhs = 0.5 * np.einsum("ij,ij->i", V, V)
     try:
-        alpha = np.linalg.solve(gram, rhs)
+        alpha = rhs / gram[0, 0] if len(support) == 2 and gram[0, 0] else np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     center = p0 + alpha @ V
-    return center, float(np.linalg.norm(center - p0))
+    return center, norm(center - p0)
 
 
 def _welzl(pts: np.ndarray) -> tuple:
@@ -110,38 +108,37 @@ def _welzl(pts: np.ndarray) -> tuple:
     n = pts.shape[1]
     order = list(range(pts.shape[0]))
 
-    def solve(count: int, support: list) -> tuple:
+    def solve(count: int, support: tuple) -> tuple:
         if count == 0 or len(support) == n + 1:
-            return _ball_from_support(support)
+            return _ball_from_support(pts, support)
         idx = order[count - 1]
         center, radius = solve(count - 1, support)
-        p = pts[idx]
-        if center is not None and np.linalg.norm(p - center) <= radius * (1 + 1e-12) + 1e-14:
+        if center is not None and norm(pts[idx] - center) <= radius * (1 + 1e-12) + 1e-14:
             return center, radius
-        center, radius = solve(count - 1, support + [p])
+        center, radius = solve(count - 1, support + (idx,))
         # move-to-front: boundary points get examined early next time
         order.remove(idx)
         order.insert(0, idx)
         return center, radius
 
-    return solve(pts.shape[0], [])
+    return solve(pts.shape[0], ())
 
 
 def min_enclosing_ball(points: Sequence) -> MinBallResult:
-    """Unique smallest ball enclosing the points."""
-    pts = as_points([as_point(p) for p in points])
-    if pts.shape[0] == 0:
-        raise ValueError("min_enclosing_ball needs at least one point")
+    """Unique smallest ball enclosing the points (a sequence or a (k, n) array)."""
+    if not (isinstance(points, np.ndarray) and points.ndim == 2):
+        points = [as_point(p) for p in points]
+    pts = as_points(points)
     if pts.shape[1] > _MAX_BALL_DIM:
         raise SizeLimit(f"min_enclosing_ball supports dimension <= {_MAX_BALL_DIM}")
     if pts.shape[0] == 1:
         return MinBallResult(tuple(map(float, pts[0])), 0.0)
     if pts.shape[0] == 2:
         center = 0.5 * (pts[0] + pts[1])
-        return MinBallResult(tuple(map(float, center)), float(np.linalg.norm(pts[0] - center)))
+        return MinBallResult(tuple(map(float, center)), norm(pts[0] - center))
     center, radius = _welzl(pts)
     # sharpen the radius to the farthest point actually enclosed
-    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    radius = max_row_norm(pts - center)
     return MinBallResult(tuple(map(float, center)), radius)
 
 
@@ -156,7 +153,7 @@ def is_cech_simplex_ambient(s: Simplex, spec: ComplexSpec, ctx: GeomContext = DE
     """Smallest enclosing ball radius within scale/2, strictness-aware."""
     if spec.flavor != "cech-ambient":
         raise ValueError(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
-    ball = min_enclosing_ball(s.vertices)
+    ball = min_enclosing_ball(s.array())
     return threshold_compare(ball.radius, spec.scale / 2.0, spec.strict, ctx)
 
 
@@ -176,7 +173,7 @@ def is_cech_simplex_intrinsic(s: Simplex, spec: ComplexSpec, witnesses: Sequence
     if len(witnesses) > 0:
         W = as_points([as_point(w) for w in witnesses], dim=verts.shape[1])
         candidates.append(W)
-    ball = min_enclosing_ball(s.vertices)
+    ball = min_enclosing_ball(verts)
     try:
         candidates.append(project(spec.shape, np.asarray(ball.center))[None, :])
     except MedialAxisProximity:

@@ -7,6 +7,7 @@ tolerances; they take a GeomContext.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatch(f"point must be 1-D and nonempty, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DimensionMismatch("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
@@ -62,11 +63,27 @@ def as_points(xs, dim: int | None = None) -> np.ndarray:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] == 0 or a.shape[0] == 0:
         raise DimensionMismatch(f"expected (k, n) points, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionMismatch("points have non-finite coordinates")
     if dim is not None and a.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {a.shape[1]}")
     return a
+
+
+def norm(v: np.ndarray) -> float:
+    """float(np.linalg.norm(v)) without its dispatch, which dominates on few-point arrays."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=1) for a (k, n) float array, without its dispatch."""
+    return np.sqrt((d * d).sum(axis=1))
+
+
+def max_row_norm(d: np.ndarray) -> float:
+    """Largest row norm: the root of the largest square, as the root is monotone."""
+    return math.sqrt((d * d).sum(axis=1).max())
 
 
 def distance(a, b) -> float:
@@ -116,12 +133,18 @@ def coincident_rows(a, b) -> np.ndarray:
     1e-12 in every coordinate."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.all(np.abs(a[:, None, :] - b[None, :, :]) <= _COINCIDENCE_TOL, axis=2)
+    return (np.abs(a[:, None, :] - b[None, :, :]) <= _COINCIDENCE_TOL).all(axis=2)
 
 
 def coincident_pair(points):
     """First pair (i, j), i < j in row-major order, of coinciding rows of
     `points`; None when all rows are distinct."""
+    points = np.asarray(points, dtype=float)
+    # rows are distinct if their sorted first coordinates all differ by over 1e-12
+    if points.ndim == 2 and points.shape[1]:
+        xs = np.sort(points[:, 0])
+        if ((xs[1:] - xs[:-1]) > _COINCIDENCE_TOL).all():
+            return None
     i, j = np.nonzero(coincident_rows(points, points))
     upper = np.flatnonzero(i < j)
     if upper.size == 0:

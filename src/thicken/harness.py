@@ -219,11 +219,8 @@ def parse_config(text: str) -> CampaignConfig:
 # campaign driver
 
 
-def run_campaign(config: CampaignConfig) -> ExperimentResult:
-    """Run every requested (lemma, r) cell; PASS needs zero violations in all
-    of them. Starved cells downgrade the verdict to WARN, an all-empty run is
-    SKIP, and any violation makes it FAIL. A suite that ignores r runs once
-    and its report fills the row of every scale."""
+def _campaign_reports(config: CampaignConfig) -> list:
+    """Report of every requested (lemma, r) cell, r by r; a suite ignoring r runs once."""
     reports = []
     done = {}
     for r in config.rs:
@@ -246,17 +243,24 @@ def run_campaign(config: CampaignConfig) -> ExperimentResult:
                         rep, wall_time_ms=(time.perf_counter() - t0) * 1e3)
                 done[key] = rep
             reports.append(done[key])
+    return reports
+
+
+def _verdict(reports) -> str:
+    """FAIL on any violation, SKIP if every cell is empty, WARN if one starved, else PASS."""
+    if any(rep.violations > 0 for rep in reports):
+        return "FAIL"
+    if all(rep.trials == 0 for rep in reports):
+        return "SKIP"
+    return "WARN" if any(rep.starved > 0 for rep in reports) else "PASS"
+
+
+def run_campaign(config: CampaignConfig) -> ExperimentResult:
+    """Run every requested (lemma, r) cell and judge them (see _verdict)."""
+    reports = _campaign_reports(config)
     columns = CSV_COLUMNS + (("wall_time_ms",) if config.timing else ())
     rows = tuple(rep.csv_fields(config.timing) for rep in reports)
-    if any(rep.violations > 0 for rep in reports):
-        verdict = "FAIL"
-    elif all(rep.trials == 0 for rep in reports):
-        verdict = "SKIP"
-    elif any(rep.starved > 0 for rep in reports):
-        verdict = "WARN"
-    else:
-        verdict = "PASS"
-    return ExperimentResult("campaign", verdict, columns, rows)
+    return ExperimentResult("campaign", _verdict(reports), columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +299,25 @@ def s0_tightness_experiment(trials: int = 300, seed: int = 42) -> ExperimentResu
                  "outcome": str(tie_raised), "ok": str(ok_b)})
     all_ok &= ok_b
 
-    for scale in (0.5, 1.0, 1.5, 1.9):
+    # one campaign over every scale, so the suite that ignores r runs once
+    scales = (0.5, 1.0, 1.5, 1.9)
+    reports = _campaign_reports(CampaignConfig(
+        shape=shape, rs=tuple(scale / 2.0 for scale in scales), k=2, trials=trials, seed=seed))
+    per_scale = len(reports) // len(scales)
+    for n, scale in enumerate(scales):
         member = is_cech_simplex_ambient(pair, ComplexSpec("cech-ambient", scale, strict=False))
         ok_member = not member
         rows.append({"fact": f"pair-not-member-below-2@{scale:g}",
                      "detail": f"min-ball radius 1 > {scale / 2:g}",
                      "outcome": str(member), "ok": str(ok_member)})
         all_ok &= ok_member
-        config = CampaignConfig(shape=shape, rs=(scale / 2.0,), k=2,
-                                trials=trials, seed=seed)
-        result = run_campaign(config)
-        ok_run = result.verdict == "PASS"
-        viol = sum(int(row["violations"]) for row in result.rows)
+        cells = reports[n * per_scale:(n + 1) * per_scale]
+        verdict = _verdict(cells)
+        viol = sum(rep.violations for rep in cells)
         rows.append({"fact": f"all-suites-pass@{scale:g}",
-                     "detail": f"9 suites; {viol} violations; verdict {result.verdict}",
-                     "outcome": result.verdict, "ok": str(ok_run)})
-        all_ok &= ok_run
+                     "detail": f"9 suites; {viol} violations; verdict {verdict}",
+                     "outcome": verdict, "ok": str(verdict == "PASS")})
+        all_ok &= verdict == "PASS"
 
     return ExperimentResult("s0-tightness", "PASS" if all_ok else "FAIL",
                             ("fact", "detail", "outcome", "ok"), tuple(rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,8 @@ from .complexes import (
     min_enclosing_ball,
 )
 from .errors import AmbiguousPredicate, MedialAxisProximity
-from .euclid import DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows
+from .euclid import (DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows, max_row_norm,
+                     norm, row_norms)
 from .shapes import (
     ambient_dim,
     distance_to_shape,
@@ -135,25 +136,27 @@ def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     if the sampling budget runs out (continuous) / too few exist (finite)."""
     fin = finite_points(shape)
     if fin is not None:
-        keep = np.linalg.norm(fin - center, axis=1) <= radius
+        keep = row_norms(fin - center) <= radius
         if exclude_center:
             keep &= ~coincident_rows(fin, center[None, :])[:, 0]
         sel = fin[keep]
         if sel.shape[0] < count:
             return None
-        idx = rng.choice(sel.shape[0], size=count, replace=False)
-        return sel[idx]
+        if count == 1:  # rng.integers draws what a one-point rng.choice draws
+            i = rng.integers(0, sel.shape[0])
+            return sel[i:i + 1]
+        return sel[rng.choice(sel.shape[0], size=count, replace=False)]
     out = []
     need = count
     batch = 128
     for _ in range(_PATCH_BUDGET):
         cand = sample_rng(shape, batch, rng)
-        keep = cand[np.linalg.norm(cand - center, axis=1) <= radius]
+        keep = cand[row_norms(cand - center) <= radius]
         if keep.shape[0]:
             out.append(keep[:need])
             need -= min(keep.shape[0], need)
         if need <= 0:
-            return np.concatenate(out)
+            return out[0] if len(out) == 1 else np.concatenate(out)
         batch = min(4096, batch * 2)
     return None
 
@@ -174,7 +177,7 @@ def _sample_valid_simplex(shape, natoms, accept, radius_full, radius_safe, rng):
             rest = _patch_points(shape, x0, radius, natoms - 1, rng, exclude_center=True)
             if rest is None:
                 continue
-            pts = np.vstack([x0[None, :], rest])
+            pts = np.concatenate((x0[None, :], rest))
             if coincident_pair(pts) is not None:
                 continue
         try:
@@ -228,6 +231,51 @@ def _dirichlet_weights(n: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cell runner
 
+# numpy's SeedSequence hash constants, INIT_A MULT_A INIT_B MULT_B MIX_MULT_L MIX_MULT_R
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = (
+    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _pcg_states(seed: int, ts: np.ndarray):
+    """Yield PCG64's (state, inc) in np.random.default_rng((seed, t)) for each
+    t of the uint32 array ts, hashing all t at once as SeedSequence does."""
+    h = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & 0xFFFFFFFF
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    zero = np.zeros_like(ts)
+    pool = [hashmix(w) for w in (zero + np.uint32(seed), ts, zero, zero)]
+    for src, dst in permutations(range(4), 2):
+        v = pool[dst] * np.uint32(_MIX_L) - hashmix(pool[src]) * np.uint32(_MIX_R)
+        pool[dst] = v ^ (v >> np.uint32(16))
+    h = _INIT_B
+    words = [hashmix(pool[i % 4], _MULT_B).astype(object) for i in range(8)]
+    # eight words read as four little-endian uint64: seed (hi, lo), inc (hi, lo)
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
+        inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
+        yield ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _trial_rngs(seed: int, trials: int):
+    """Yield for t in range(trials) a generator on the stream of default_rng((seed, t)),
+    reseeding one generator, as building each costs more than a typical trial."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32 and trials <= 2**32):
+        yield from (np.random.default_rng((seed, t)) for t in range(trials))
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, trials, 4096):
+        for state, inc in _pcg_states(seed, np.arange(start, min(trials, start + 4096),
+                                                      dtype=np.uint32)):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "state": {"state": state, "inc": inc}, "uinteger": 0}
+            yield rng
+
 
 def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
     """Run `trial_fn(rng) -> (status, margin, tol)` on the RNG stream
@@ -236,8 +284,8 @@ def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
         raise ValueError("trials must be >= 0")
     ok = amb = starved = viol = 0
     worst = -math.inf
-    for t in range(trials):
-        status, margin, tol = trial_fn(np.random.default_rng((seed, t)))
+    for rng in _trial_rngs(seed, trials):
+        status, margin, tol = trial_fn(rng)
         if status == "ok":
             ok += 1
             if margin > tol:
@@ -282,19 +330,19 @@ def check_convex_lemma(shape, r, k, trials, seed, strict=False,
         pts = sample_rng(shape, natoms, rng)
         lam = _dirichlet_weights(natoms, rng)
         y = lam @ pts
-        gap = (0.01 + 0.99 * rng.random()) * (1.0 + float(np.linalg.norm(y)))
+        gap = (0.01 + 0.99 * rng.random()) * (1.0 + norm(y))
         normal = rng.normal(size=pts.shape[1])
-        normal /= np.linalg.norm(normal)
+        normal /= norm(normal)
         if rng.random() < 0.5:
             # half-space {z : <n, z> <= c} with y strictly outside by `gap`
             c = float(normal @ y) - gap
-            margin = c - float(np.max(pts @ normal))
+            margin = c - float((pts @ normal).max())
             bound = c
         else:
             # ball B(q, rho) with d(q, y) = rho + gap
             rho = (0.1 + 1.9 * rng.random()) * (1.0 + r)
             q = y + (rho + gap) * normal
-            margin = rho - float(np.max(np.linalg.norm(pts - q, axis=1)))
+            margin = rho - max_row_norm(pts - q)
             bound = rho
         return "ok", margin, _tol_for(bound, ctx)
 
@@ -321,26 +369,25 @@ def _vr_accept(spec: ComplexSpec, ctx: GeomContext):
 
 
 def _cech_accept(spec: ComplexSpec, ctx: GeomContext):
-    """Min-ball predicate with rigorous radius bounds (half the diameter from
-    below, max distance to the centroid or to any vertex from above); the
-    exact ball is computed only when the bounds straddle the threshold."""
+    """Min-ball predicate with rigorous radius bounds, tried in this order: max distance to
+    any vertex (above), half the diameter (below), max distance to the centroid (above);
+    the exact ball is computed only when the bounds straddle the threshold."""
     half = spec.scale / 2.0
     band = ctx.eps_geo * max(1.0, abs(half))
+    lo, hi = half - 2.0 * band, half + 2.0 * band
 
     def accept(pts):
-        if pts.shape[0] == 1:
-            lb = ub = 0.0
-        else:
+        if pts.shape[0] > 1:
             diff = pts[:, None, :] - pts[None, :, :]
             d2 = (diff * diff).sum(axis=2)
-            lb = 0.5 * float(np.sqrt(d2.max()))
-            centroid_ub = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-            vertex_ub = float(np.sqrt(d2.max(axis=1).min()))
-            ub = min(centroid_ub, vertex_ub)
-        if ub <= half - 2.0 * band:
+            if math.sqrt(d2.max(axis=1).min()) <= lo:
+                return True
+            if 0.5 * math.sqrt(d2.max()) >= hi:
+                return False
+            if max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]) <= lo:
+                return True
+        elif 0.0 <= lo:
             return True
-        if lb >= half + 2.0 * band:
-            return False
         return is_cech_simplex_ambient(Simplex(tuple(map(tuple, pts))), spec, ctx)
     return accept
 
@@ -387,7 +434,7 @@ def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
 
     def margin(pts, lam):
         p = project(shape, lam @ pts, ctx)
-        return float(np.max(np.linalg.norm(pts - p, axis=1))) - r
+        return max_row_norm(pts - p) - r
 
     return _simplex_cell("VrSimplex", shape, r, k, trials, seed, accept, (r, r / 2), margin, ctx)
 
@@ -401,7 +448,7 @@ def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
     accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
 
     def margin(pts, lam):
-        return float(np.min(np.linalg.norm(pts - lam @ pts, axis=1))) - r
+        return float(row_norms(pts - lam @ pts).min()) - r
 
     return _simplex_cell("CechRadius", shape, r, k, trials, seed, accept, (2.0 * r, r), margin, ctx)
 
@@ -414,12 +461,6 @@ def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
     accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
     return _simplex_cell("CechTub", shape, r, k, trials, seed, accept, (2.0 * r, r),
                          lambda pts, lam: distance_to_shape(shape, lam @ pts) - r, ctx)
-
-
-def _witness_pool(shape, seed: int, trials: int, count: int = 1024) -> np.ndarray:
-    """Deterministic on-shape candidate pool; the stream index `trials` never
-    collides with a trial index."""
-    return sample_rng(shape, count, np.random.default_rng((seed, trials)))
 
 
 def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
@@ -439,13 +480,14 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
                 _augment(pts, project(shape, lam @ pts, ctx))).radius - r, ctx)
 
     spec = ComplexSpec("cech-intrinsic", scale, strict=strict, shape=shape)
-    pool = _witness_pool(shape, seed, trials)
+    # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
+    pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
     band = ctx.eps_geo * max(1.0, abs(r))
 
     def accept(pts, y):
         # y is an on-shape witness; a cover comfortably below r settles
         # the existential without the full candidate sweep
-        if float(np.linalg.norm(pts - y, axis=1).max()) <= r - 2.0 * band:
+        if max_row_norm(pts - y) <= r - 2.0 * band:
             return True
         s = Simplex(tuple(map(tuple, pts)))
         return is_cech_simplex_intrinsic(s, spec, (tuple(y),), ctx)
@@ -470,15 +512,18 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
         except MedialAxisProximity:
             return "ok", math.inf, _tol_for(r, ctx)
         aug = _augment(pts, p)
-        cands = np.vstack([y[None, :], p[None, :], pool])
-        cover = np.max(np.linalg.norm(cands[:, None, :] - aug[None, :, :], axis=2), axis=1)
-        margin = float(np.min(cover)) - r
+        # smallest squared cover over the centers y, p and the pool; a pool
+        # point farther from aug[0] than that of y or p cannot win
+        cover2 = _cover2(np.stack((y, p)), aug)
+        d = pool - aug[0]
+        cover2 = min(cover2, _cover2(pool[(d * d).sum(axis=1) <= cover2 * (1.0 + 1e-9)], aug))
+        margin = math.sqrt(cover2) - r
         if margin > -2.0 * band:
             # near or past the threshold: bring in the projected center of
             # the ambient smallest ball before judging
             try:
                 center = project(shape, np.asarray(min_enclosing_ball(aug).center), ctx)
-                extra = float(np.linalg.norm(center - aug, axis=1).max())
+                extra = max_row_norm(center - aug)
                 margin = min(margin, extra - r)
             except MedialAxisProximity:
                 pass
@@ -487,11 +532,17 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
     return _run_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, trial)
 
 
+def _cover2(cands: np.ndarray, aug: np.ndarray) -> float:
+    """Least over the rows of cands of the largest squared distance to aug."""
+    diff = cands[:, None, :] - aug[None, :, :]
+    return float((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
+
+
 def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Support of [x_0, ..., x_k, p] with a coincident p merged."""
     if coincident_rows(pts, p[None, :]).any():
         return pts
-    return np.vstack([pts, p[None, :]])
+    return np.concatenate((pts, p[None, :]))
 
 
 def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
@@ -511,17 +562,17 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
         for _ in range(_MAX_ATTEMPTS):
             s = sample_rng(shape, 1, rng)[0]
             u = rng.normal(size=dim)
-            u /= np.linalg.norm(u)
+            u /= norm(u)
             mag = tau * (1e-3 + 0.996 * rng.random())
             x = s + mag * u
             d = distance_to_shape(shape, x)
-            if d <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
+            if d <= 1e-12 * (1.0 + norm(x)):
                 continue
             try:
                 p = project(shape, x, ctx)
             except MedialAxisProximity:
                 continue
-            c = p + tau * (x - p) / np.linalg.norm(x - p)
+            c = p + tau * (x - p) / norm(x - p)
             margin = tau - float(tree.query(c)[0])
             return "ok", margin, 1e-6
         return "starved", 0.0, 0.0
@@ -540,7 +591,7 @@ def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
         for _ in range(_MAX_ATTEMPTS):
             base = sample_rng(shape, 2, rng)
             us = rng.normal(size=(2, dim))
-            us /= np.linalg.norm(us, axis=1, keepdims=True)
+            us /= row_norms(us)[:, None]
             mags = r * 0.999 * rng.random(size=2)
             x = base[0] + mags[0] * us[0]
             y = base[1] + mags[1] * us[1]
@@ -549,8 +600,8 @@ def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
                 py = project(shape, y, ctx)
             except MedialAxisProximity:
                 continue
-            bound = factor * float(np.linalg.norm(x - y))
-            margin = float(np.linalg.norm(px - py)) - bound
+            bound = factor * norm(x - y)
+            margin = norm(px - py) - bound
             return "ok", margin, _tol_for(bound, ctx)
         return "starved", 0.0, 0.0
 

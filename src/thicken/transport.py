@@ -107,34 +107,30 @@ def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:
     return float(np.sum(P * _cost_matrix(mu, nu)))
 
 
-def _tree_duals(basis: np.ndarray, C: np.ndarray) -> tuple:
+def _tree_duals(cols_by_row: list, rows_by_col: list, C: list) -> tuple:
     """Node potentials with u[0] = 0, following basic arcs: u_i + v_j = C_ij."""
-    m, n = C.shape
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
+    u = [math.nan] * len(cols_by_row)
+    v = [math.nan] * len(rows_by_col)
     u[0] = 0.0
-    rows_by_col = [np.flatnonzero(basis[:, j]) for j in range(n)]
-    cols_by_row = [np.flatnonzero(basis[i, :]) for i in range(m)]
     stack = [(True, 0)]
     while stack:
         is_row, k = stack.pop()
         if is_row:
             for j in cols_by_row[k]:
                 if math.isnan(v[j]):
-                    v[j] = C[k, j] - u[k]
+                    v[j] = C[k][j] - u[k]
                     stack.append((False, j))
         else:
             for i in rows_by_col[k]:
                 if math.isnan(u[i]):
-                    u[i] = C[i, k] - v[k]
+                    u[i] = C[i][k] - v[k]
                     stack.append((True, i))
-    return u, v
+    return np.array(u), np.array(v)
 
 
-def _basis_cycle(basis: np.ndarray, i0: int, j0: int) -> list:
+def _basis_cycle(cols_by_row: list, rows_by_col: list, i0: int, j0: int) -> list:
     """Cells of the unique cycle created by adding arc (i0, j0) to the basis
     tree, starting with (i0, j0); signs alternate +,-,+,... along the list."""
-    m, n = basis.shape
     # path from column node j0 back to row node i0 through the tree
     parent = {}
     stack = [("c", j0)]
@@ -142,8 +138,8 @@ def _basis_cycle(basis: np.ndarray, i0: int, j0: int) -> list:
     while stack:
         kind, k = stack.pop()
         if kind == "c":
-            for i in np.flatnonzero(basis[:, k]):
-                node = ("r", int(i))
+            for i in rows_by_col[k]:
+                node = ("r", i)
                 if node not in seen:
                     seen.add(node)
                     parent[node] = ("c", k)
@@ -152,8 +148,8 @@ def _basis_cycle(basis: np.ndarray, i0: int, j0: int) -> list:
                         break
                     stack.append(node)
         else:
-            for j in np.flatnonzero(basis[k, :]):
-                node = ("c", int(j))
+            for j in cols_by_row[k]:
+                node = ("c", j)
                 if node not in seen:
                     seen.add(node)
                     parent[node] = ("r", k)
@@ -198,9 +194,14 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
             j += 1
 
     tol = 1e-13 * max(1.0, float(C.max()))
+    C_rows = C.tolist()
     degenerate_streak = 0
     for _ in range(20000):
-        u, v = _tree_duals(basis, C)
+        # ascending neighbor lists of the basis tree: columns by row, rows by column
+        arcs = list(zip(*(idx.tolist() for idx in np.nonzero(basis))))
+        adjacency = ([[j for i, j in arcs if i == r] for r in range(m)],
+                     [[i for i, j in arcs if j == c] for c in range(n)])
+        u, v = _tree_duals(*adjacency, C_rows)
         reduced = C - u[:, None] - v[None, :]
         reduced[basis] = 0.0
         if degenerate_streak < 50:
@@ -214,7 +215,7 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
             if neg.size == 0:
                 break
             i0, j0 = map(int, neg[0])
-        cells = _basis_cycle(basis, int(i0), int(j0))
+        cells = _basis_cycle(*adjacency, int(i0), int(j0))
         minus = cells[1::2]
         theta = min(F[c] for c in minus)
         leave = min(c for c in minus if F[c] <= theta)
@@ -233,8 +234,9 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
 
 @lru_cache(maxsize=32)
 def _spanning_bases(m: int, n: int) -> tuple:
-    """All spanning trees of the complete bipartite graph K_{m,n}, as tuples
-    of (i, j) arcs; a tree basis has m + n - 1 arcs and connects all nodes."""
+    """All spanning trees of K_{m,n} (m + n - 1 arcs (i, j) joining all nodes), each with
+    its leaf-elimination steps (leaf node k, arc index e, node k passes its supply to),
+    which depend on the tree alone; rows are nodes 0..m-1, columns nodes m..m+n-1."""
     arcs = [(i, j) for i in range(m) for j in range(n)]
     out = []
     for subset in combinations(range(len(arcs)), m + n - 1):
@@ -254,8 +256,29 @@ def _spanning_bases(m: int, n: int) -> tuple:
                 ok = False
                 break
             parent[ri] = rj
-        if ok:
-            out.append(tuple(arcs[k] for k in subset))
+        if not ok:
+            continue
+        tree = tuple(arcs[k] for k in subset)
+        adj = {k: [] for k in range(m + n)}
+        for e, (i, j) in enumerate(tree):
+            adj[i].append(e)
+            adj[m + j].append(e)
+        degree = {k: len(adj[k]) for k in adj}
+        leaves = [k for k, d in degree.items() if d == 1]
+        removed, steps = set(), []
+        while leaves:
+            k = leaves.pop()
+            e = next((e for e in adj[k] if e not in removed), None)
+            if e is None:
+                continue
+            i, j = tree[e]
+            other = m + j if k < m else i
+            steps.append((k, e, other))
+            removed.add(e)
+            degree[other] -= 1
+            if degree[other] == 1:
+                leaves.append(other)
+        out.append((tree, tuple(steps)))
     return tuple(out)
 
 
@@ -267,41 +290,21 @@ def oracle_wasserstein1(mu: Measure, nu: Measure) -> float:
     m, n = C.shape
     if m * n > 16:
         raise SizeLimit(f"oracle supports |mu|*|nu| <= 16, got {m * n}")
+    costs = C.tolist()
     best = math.inf
-    for tree in _spanning_bases(m, n):
-        rest = {arc: 0.0 for arc in tree}
+    for tree, steps in _spanning_bases(m, n):
+        flows = [0.0] * len(tree)
         supply = list(a) + [-x for x in b]
-        adj = {k: [] for k in range(m + n)}
-        for i, j in tree:
-            adj[i].append((i, j))
-            adj[m + j].append((i, j))
-        degree = {k: len(adj[k]) for k in adj}
-        leaves = [k for k, d in degree.items() if d == 1]
-        removed = set()
-        feasible = True
-        while leaves:
-            k = leaves.pop()
-            arc = next((e for e in adj[k] if e not in removed), None)
-            if arc is None:
-                continue
-            i, j = arc
-            flow = supply[k] if k < m else -supply[k]
-            rest[arc] = flow
-            if flow < -1e-12:
-                feasible = False
+        for k, e, other in steps:
+            flows[e] = supply[k] if k < m else -supply[k]
+            if flows[e] < -1e-12:
                 break
-            other = m + j if k < m else i
             supply[other] += supply[k]
             supply[k] = 0.0
-            removed.add(arc)
-            degree[other] -= 1
-            if degree[other] == 1:
-                leaves.append(other)
-        if not feasible:
-            continue
-        cost = sum(f * C[i, j] for (i, j), f in rest.items())
-        if cost < best:
-            best = cost
+        else:
+            cost = sum(f * costs[i][j] for (i, j), f in zip(tree, flows))
+            if cost < best:
+                best = cost
     return best
 
 

@@ -115,6 +115,25 @@ def test_min_ball_jung_bound():
         assert got.radius >= diameter(pts) / 2.0 - 1e-9
 
 
+def test_pair_support_solve_is_one_division():
+    # min_enclosing_ball answers a two-point support's 1x1 Gram system with
+    # the quotient that LAPACK's LU solve returns
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        for _ in range(2000):
+            V = rng.normal(size=(1, dim)) * rng.uniform(1e-3, 1e3)
+            gram = V @ V.T
+            rhs = 0.5 * np.einsum("ij,ij->i", V, V)
+            assert np.linalg.solve(gram, rhs)[0] == rhs[0] / gram[0, 0]
+
+
+def test_min_ball_array_and_point_sequence_agree():
+    rng = np.random.default_rng(4)
+    for k in range(1, 8):
+        pts = rng.normal(size=(k, 3))
+        assert min_enclosing_ball(pts) == min_enclosing_ball([tuple(p) for p in pts])
+
+
 def test_simplex_requires_distinct_vertices():
     with pytest.raises(ValueError):
         Simplex(((0.0, 0.0), (0.0, 0.0)))

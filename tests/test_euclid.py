@@ -6,9 +6,14 @@ from thicken import AmbiguousPredicate, DimensionMismatch, GeomContext
 from thicken.euclid import (
     as_point,
     as_points,
+    coincident_pair,
+    coincident_rows,
     convex_combination,
     diameter,
     distance,
+    max_row_norm,
+    norm,
+    row_norms,
     threshold_compare,
 )
 
@@ -112,6 +117,34 @@ def test_hull_point_outside_convex_set_forces_a_generator_outside():
             anchor, normal = rng.normal(size=2), rng.normal(size=2)
             if (y - anchor) @ normal > 0:
                 assert np.any((pts - anchor) @ normal > 0)
+
+
+def test_coincident_pair_matches_full_scan():
+    # the sorted-first-coordinate shortcut answers as the pairwise scan does,
+    # near the 1e-12 tolerance and with ties in the first coordinate
+    rng = np.random.default_rng(6)
+    for _ in range(3000):
+        k, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        pts = rng.normal(size=(k, n))
+        if rng.random() < 0.3:
+            pts[:, 0] = rng.integers(0, 2, size=k)
+        if k > 1 and rng.random() < 0.5:
+            i, j = rng.choice(k, 2, replace=False)
+            pts[j] = pts[i] + rng.choice([0.0, 5e-13, 2e-12]) * rng.normal(size=n)
+        i, j = np.nonzero(coincident_rows(pts, pts))
+        upper = [(int(a), int(b)) for a, b in zip(i, j) if a < b]
+        assert coincident_pair(pts) == (upper[0] if upper else None)
+
+
+def test_norm_helpers_match_numpy():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        a = rng.normal(size=(rng.integers(1, 9), rng.integers(1, 4))) * 10.0 ** rng.integers(-5, 6)
+        assert norm(a[0]) == float(np.linalg.norm(a[0]))
+        assert norm(a[:, 0]) == float(np.linalg.norm(a[:, 0]))
+        assert norm(a) == float(np.linalg.norm(a))
+        assert (row_norms(a) == np.linalg.norm(a, axis=1)).all()
+        assert max_row_norm(a) == float(np.linalg.norm(a, axis=1).max())
 
 
 def test_threshold_compare_exact_equality_decides_by_strictness():

@@ -13,6 +13,7 @@ from thicken import (
     Measure,
     MedialAxisProximity,
     Sphere,
+    Torus,
     ZeroSphere,
     check_cech_radius_lemma,
     check_cech_simplex_lemma,
@@ -29,7 +30,7 @@ from thicken import (
     sample_rng,
     thickening_distance,
 )
-from thicken.retraction import csv_header
+from thicken.retraction import _trial_rngs, csv_header
 
 from test_thickening import vr_measure_on
 
@@ -218,6 +219,54 @@ def test_checker_reports_are_seed_deterministic():
     c = check_vr_simplex_lemma(shape, 0.45, 4, 80, seed=10)
     assert a == b
     assert a != c
+
+
+# These rows fix the checkers' output bytes; a faster trial loop must
+# reproduce every one of them exactly.
+PINNED_ROWS = {
+    "CechRadius,torus(R=3,rho=1),0.9,4,200,0,0,-0.109493883634,7":
+        lambda: check_cech_radius_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7),
+    "CechSimplexAmbient,torus(R=3,rho=1),0.9,4,200,0,0,-7.21646974097e-05,7":
+        lambda: check_cech_simplex_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7, flavor="ambient"),
+    "CechSimplexIntrinsic,torus(R=3,rho=1),0.9,4,200,0,0,-0.000345014988796,7":
+        lambda: check_cech_simplex_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7, flavor="intrinsic"),
+    "CechSimplexIntrinsic,circle(R=1),0.9,4,200,0,0,-0.032985575754,7":
+        lambda: check_cech_simplex_lemma(Circle(1.0), 0.9, 4, 200, 7, flavor="intrinsic",
+                                         strict=True),
+    "CechSimplexIntrinsic,zerosphere,0.75,4,200,0,0,-0.75,7":
+        lambda: check_cech_simplex_lemma(ZeroSphere(), 0.75, 4, 200, 7, flavor="intrinsic"),
+    "VrSimplex,ellipse(a=2,b=1),0.45,4,200,0,0,-0.073935640017,7":
+        lambda: check_vr_simplex_lemma(Ellipse(2.0, 1.0), 0.45, 4, 200, 7),
+    "Convex,sphere(dim=3,R=1),0.5,4,200,0,0,-0.0628990149614,7":
+        lambda: check_convex_lemma(Sphere(3, 1.0), 0.5, 4, 200, 7),
+    "EmptyBall,torus(R=3,rho=1),1,0,200,0,0,-3.15796278016e-11,7":
+        lambda: check_empty_ball(Torus(3.0, 1.0), 200, 7),
+    "FedererLipschitz,sphere(dim=3,R=1),0.5,0,200,0,0,-0.323086097556,7":
+        lambda: check_federer(Sphere(3, 1.0), 0.5, 200, 7),
+}
+
+
+@pytest.mark.parametrize("row", PINNED_ROWS)
+def test_checker_rows_are_pinned(row):
+    assert PINNED_ROWS[row]().csv_row() == row
+
+
+def test_trial_streams_match_default_rng():
+    # the reseeded trial generator walks default_rng((seed, t))'s stream,
+    # across its 4096-trial blocks, at both ends of the uint32 seed range and
+    # past it, where it falls back to default_rng itself
+    for seed in (0, 12, 2**32 - 1, 2**40):
+        for t, rng in enumerate(_trial_rngs(seed, 4100)):
+            if t % 97 and t not in (4095, 4096, 4099):
+                continue
+            ref = np.random.default_rng((seed, t))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(0, 7, size=3).tolist() == ref.integers(0, 7, size=3).tolist()
+            assert rng.normal() == ref.normal()
+    with pytest.raises(ValueError):
+        next(_trial_rngs(-1, 3))
+    with pytest.raises(TypeError):
+        next(_trial_rngs(1.5, 3))
 
 
 @pytest.mark.parametrize("seed", (1027, 1028))
