@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .complexes import ComplexSpec, FLAVORS, enumerate_skeleton, format_skeleton
+from .complexes import ComplexSpec, FLAVORS, format_skeleton
 from .errors import ConfigError, DimensionMismatch, MedialAxisProximity, ThickenError
 from .harness import EXPERIMENTS, parse_config, parse_shape, run_campaign
 from .shapes import project, sample
@@ -99,7 +99,9 @@ def _cmd_skeleton(args) -> int:
         raise ConfigError(str(exc)) from None
     witnesses = ()
     if args.flavor == "cech-intrinsic":
-        witnesses = tuple(map(tuple, sample(shape, args.witnesses, args.seed)))
+        if args.witnesses < 1:
+            raise ConfigError(f"--witnesses must be >= 1, got {args.witnesses}")
+        witnesses = sample(shape, args.witnesses, args.seed)
     sys.stdout.write(format_skeleton(points, spec, args.max_dim, witnesses=witnesses) + "\n")
     return EXIT_PASS
 

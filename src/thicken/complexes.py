@@ -7,21 +7,26 @@ Two families of scale-parameter complexes over a finite point set:
   centered anywhere in ambient space (ambient flavor) or restricted to a
   reference shape (intrinsic flavor, decided over a finite witness set).
 
-Every predicate answers definitively only outside a relative eps_geo band
-around its threshold and raises AmbiguousPredicate inside the band; a value
-exactly at the threshold answers by strictness.
+Each predicate takes a Simplex or a (k, n) float array of distinct rows and
+decides by exact bounds on its measured quantity first (pairwise distances,
+or one witness's cover), running the exact kernel (threshold_compare on the
+diameter, the smallest enclosing ball, the candidate-center cover) only when
+the bounds straddle the threshold. It answers definitively only outside a
+relative eps_geo band around its threshold and raises AmbiguousPredicate
+inside the band; a value exactly at the threshold answers by strictness.
+is_simplex dispatches on the flavor.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AmbiguousPredicate, MedialAxisProximity, SizeLimit
-from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, diameter,
-                     max_row_norm, norm, threshold_compare)
+from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, max_row_norm,
+                     norm, threshold_compare)
 from .shapes import project
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
@@ -104,21 +109,24 @@ def _ball_from_support(pts: np.ndarray, support: tuple) -> tuple:
 
 
 def _welzl(pts: np.ndarray) -> tuple:
-    """Welzl's recursive smallest-enclosing-ball with move-to-front."""
+    """Welzl's smallest-enclosing-ball with move-to-front, in Gaertner's loop
+    form: recursion only adds a support point, so its depth stays below the
+    dimension + 2 however many points there are."""
     n = pts.shape[1]
     order = list(range(pts.shape[0]))
 
-    def solve(count: int, support: tuple) -> tuple:
-        if count == 0 or len(support) == n + 1:
-            return _ball_from_support(pts, support)
-        idx = order[count - 1]
-        center, radius = solve(count - 1, support)
-        if center is not None and norm(pts[idx] - center) <= radius * (1 + 1e-12) + 1e-14:
+    def solve(end: int, support: tuple) -> tuple:
+        center, radius = _ball_from_support(pts, support)
+        if len(support) == n + 1:
             return center, radius
-        center, radius = solve(count - 1, support + (idx,))
-        # move-to-front: boundary points get examined early next time
-        order.remove(idx)
-        order.insert(0, idx)
+        for i in range(end):
+            idx = order[i]
+            if center is not None and norm(pts[idx] - center) <= radius * (1 + 1e-12) + 1e-14:
+                continue
+            center, radius = solve(i, support + (idx,))
+            # move-to-front: boundary points get examined early next time
+            order.remove(idx)
+            order.insert(0, idx)
         return center, radius
 
     return solve(pts.shape[0], ())
@@ -128,9 +136,7 @@ def min_enclosing_ball(points: Sequence) -> MinBallResult:
     """Unique smallest ball enclosing the points (a sequence or a (k, n) array)."""
     if not (isinstance(points, np.ndarray) and points.ndim == 2):
         points = [as_point(p) for p in points]
-    pts = as_points(points)
-    if pts.shape[1] > _MAX_BALL_DIM:
-        raise SizeLimit(f"min_enclosing_ball supports dimension <= {_MAX_BALL_DIM}")
+    pts = _check_ball_dim(as_points(points))
     if pts.shape[0] == 1:
         return MinBallResult(tuple(map(float, pts[0])), 0.0)
     if pts.shape[0] == 2:
@@ -142,47 +148,114 @@ def min_enclosing_ball(points: Sequence) -> MinBallResult:
     return MinBallResult(tuple(map(float, center)), radius)
 
 
-def is_vr_simplex(s: Simplex, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
+def _check_ball_dim(pts: np.ndarray) -> np.ndarray:
+    if pts.shape[1] > _MAX_BALL_DIM:
+        raise SizeLimit(f"min_enclosing_ball supports dimension <= {_MAX_BALL_DIM}")
+    return pts
+
+
+def _vertices(s) -> np.ndarray:
+    """Vertex rows of a Simplex, or a validated (k, n) array of points."""
+    return s.array() if isinstance(s, Simplex) else as_points(s)
+
+
+def _square_distances(pts: np.ndarray) -> np.ndarray:
+    diff = pts[:, None, :] - pts[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
+    """Least over the rows of `centers` of the largest distance to a row of
+    `pts`; inf when there are no centers."""
+    diff = centers[:, None, :] - pts[None, :, :]
+    return math.sqrt((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
+
+
+def _band2(threshold: float, ctx: GeomContext) -> float:
+    """Twice the ambiguity band: a value this far from the threshold is
+    decided by a plain comparison, as threshold_compare would decide it."""
+    return 2.0 * ctx.eps_geo * max(1.0, abs(threshold))
+
+
+def is_vr_simplex(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
     """Diameter within scale, strictness-aware."""
     if spec.flavor != "vr":
         raise ValueError(f"is_vr_simplex needs flavor 'vr', got {spec.flavor!r}")
-    return threshold_compare(diameter(s.array()), spec.scale, spec.strict, ctx)
+    pts = _vertices(s)
+    diam = math.sqrt(_square_distances(pts).max()) if pts.shape[0] > 1 else 0.0
+    band2 = _band2(spec.scale, ctx)
+    if diam <= spec.scale - band2:
+        return True
+    if diam >= spec.scale + band2:
+        return False
+    return threshold_compare(diam, spec.scale, spec.strict, ctx)
 
 
-def is_cech_simplex_ambient(s: Simplex, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
-    """Smallest enclosing ball radius within scale/2, strictness-aware."""
+def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
+    """Smallest enclosing ball radius within scale/2, strictness-aware.
+
+    Rigorous radius bounds come first, in this order: the largest distance
+    from the best vertex (above), half the diameter (below), the largest
+    distance from the centroid (above). The ball itself is computed only
+    when they straddle the threshold."""
     if spec.flavor != "cech-ambient":
         raise ValueError(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
-    ball = min_enclosing_ball(s.array())
-    return threshold_compare(ball.radius, spec.scale / 2.0, spec.strict, ctx)
+    pts = _check_ball_dim(_vertices(s))
+    half = spec.scale / 2.0
+    band2 = _band2(half, ctx)
+    if pts.shape[0] > 1:
+        d2 = _square_distances(pts)
+        if math.sqrt(d2.max(axis=1).min()) <= half - band2:
+            return True
+        if 0.5 * math.sqrt(d2.max()) >= half + band2:
+            return False
+        if max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]) <= half - band2:
+            return True
+    elif 0.0 <= half - band2:
+        return True
+    ball = min_enclosing_ball(pts)
+    return threshold_compare(ball.radius, half, spec.strict, ctx)
 
 
-def is_cech_simplex_intrinsic(s: Simplex, spec: ComplexSpec, witnesses: Sequence,
+def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence,
                               ctx: GeomContext = DEFAULT_CTX) -> bool:
     """Some on-shape candidate center covers all vertices within scale/2.
 
     Candidates are the provided witnesses plus the shape projection of the
     ambient smallest-ball center when that projection is defined. This is a
     finite under-approximation of the existential over the whole shape; use
-    dense witness sets for tight answers.
+    dense witness sets for tight answers. A witness cover clearly below the
+    threshold answers before the ball and its projection are computed.
     """
     if spec.flavor != "cech-intrinsic":
         raise ValueError(f"is_cech_simplex_intrinsic needs flavor 'cech-intrinsic', got {spec.flavor!r}")
-    verts = s.array()
-    candidates = []
+    verts = _check_ball_dim(_vertices(s))
+    half = spec.scale / 2.0
+    cover = math.inf
     if len(witnesses) > 0:
-        W = as_points([as_point(w) for w in witnesses], dim=verts.shape[1])
-        candidates.append(W)
+        cover = cover_radius(as_points(witnesses, dim=verts.shape[1]), verts)
+        if cover <= half - _band2(half, ctx):
+            return True
     ball = min_enclosing_ball(verts)
     try:
-        candidates.append(project(spec.shape, np.asarray(ball.center))[None, :])
+        center = project(spec.shape, np.asarray(ball.center))
+        cover = min(cover, max_row_norm(center - verts))
     except MedialAxisProximity:
         pass
-    if not candidates:
+    if cover == math.inf:
         return False
-    cand = np.vstack(candidates)
-    cover = np.linalg.norm(cand[:, None, :] - verts[None, :, :], axis=2).max(axis=1)
-    return threshold_compare(float(cover.min()), spec.scale / 2.0, spec.strict, ctx)
+    return threshold_compare(cover, half, spec.strict, ctx)
+
+
+def is_simplex(s, spec: ComplexSpec, witnesses: Sequence = (),
+               ctx: GeomContext = DEFAULT_CTX) -> bool:
+    """Membership in the complex of `spec` by its flavor's predicate; the
+    witnesses serve the intrinsic flavor only."""
+    if spec.flavor == "vr":
+        return is_vr_simplex(s, spec, ctx)
+    if spec.flavor == "cech-ambient":
+        return is_cech_simplex_ambient(s, spec, ctx)
+    return is_cech_simplex_intrinsic(s, spec, witnesses, ctx)
 
 
 def _cliques(adj: np.ndarray, max_size: int) -> list:
@@ -247,16 +320,9 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     # never prunes a true simplex; each candidate runs the real predicate
     adj = dist <= spec.scale + 2.0 * band
     np.fill_diagonal(adj, False)
-    out = []
-    for t in _cliques(adj, max_dim + 1):
-        simplex = Simplex(tuple(map(tuple, pts[list(t)])))
-        if spec.flavor == "cech-ambient":
-            ok = is_cech_simplex_ambient(simplex, spec, ctx)
-        else:
-            ok = is_cech_simplex_intrinsic(simplex, spec, witnesses, ctx)
-        if ok:
-            out.append(t)
-    return out
+    if len(witnesses) > 0:
+        witnesses = as_points(witnesses, dim=pts.shape[1])
+    return [t for t in _cliques(adj, max_dim + 1) if is_simplex(pts[list(t)], spec, witnesses, ctx)]
 
 
 def format_skeleton(points: Sequence, spec: ComplexSpec, max_dim: int,

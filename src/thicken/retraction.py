@@ -18,14 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import (
-    ComplexSpec,
-    Simplex,
-    is_cech_simplex_ambient,
-    is_cech_simplex_intrinsic,
-    is_vr_simplex,
-    min_enclosing_ball,
-)
+from .complexes import ComplexSpec, cover_radius, is_simplex, min_enclosing_ball
 from .errors import AmbiguousPredicate, MedialAxisProximity
 from .euclid import (DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows, max_row_norm,
                      norm, row_norms)
@@ -161,54 +154,42 @@ def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     return None
 
 
-def _sample_valid_simplex(shape, natoms, accept, radius_full, radius_safe, rng):
-    """Support tuple of `natoms` distinct on-shape points passing `accept`.
+def _sample_simplex(shape, natoms, spec: ComplexSpec, rng, ctx: GeomContext):
+    """Support of `natoms` distinct on-shape points that is a simplex of
+    `spec`, drawn around a fresh on-shape point y.
 
-    Odd attempts draw companions from the tight patch (valid by the triangle
-    inequality), even attempts from the full patch so every valid simplex
-    containing the anchor stays reachable. Returns (points, 'ok'|'ambiguous'|
-    'starved')."""
+    Intrinsic flavor: the support lies in the radius-scale/2 patch of y, so
+    y witnesses it by construction. Other flavors: y is the first vertex;
+    odd attempts draw companions from the tight patch (radius scale/2, valid
+    by the triangle inequality), even attempts from the full patch (radius
+    scale) so every valid simplex containing y stays reachable. Returns
+    (points, y, 'ok'|'ambiguous'|'starved')."""
+    intrinsic = spec.flavor == "cech-intrinsic"
     for attempt in range(_MAX_ATTEMPTS):
-        x0 = sample_rng(shape, 1, rng)[0]
-        if natoms == 1:
-            pts = x0[None, :]
-        else:
-            radius = radius_full if attempt % 2 == 0 else radius_safe
-            rest = _patch_points(shape, x0, radius, natoms - 1, rng, exclude_center=True)
-            if rest is None:
-                continue
-            pts = np.concatenate((x0[None, :], rest))
-            if coincident_pair(pts) is not None:
-                continue
-        try:
-            if accept(pts):
-                return pts, "ok"
-        except AmbiguousPredicate:
-            return None, "ambiguous"
-    return None, "starved"
-
-
-def _sample_witnessed_simplex(shape, natoms, accept, radius, rng):
-    """Support tuple drawn inside the radius-`radius` patch of a fresh on-shape
-    witness; valid for the intrinsic predicate by construction. Returns
-    (points, witness, status)."""
-    for _ in range(_MAX_ATTEMPTS):
         y = sample_rng(shape, 1, rng)[0]
-        pts = _patch_points(shape, y, radius, natoms, rng)
+        if intrinsic:
+            pts = _patch_points(shape, y, spec.scale / 2, natoms, rng)
+        elif natoms == 1:
+            pts = y[None, :]
+        else:
+            radius = spec.scale if attempt % 2 == 0 else spec.scale / 2
+            rest = _patch_points(shape, y, radius, natoms - 1, rng, exclude_center=True)
+            pts = None if rest is None else np.concatenate((y[None, :], rest))
         if pts is None or coincident_pair(pts) is not None:
             continue
         try:
-            if accept(pts, y):
+            if is_simplex(pts, spec, y[None, :], ctx):
                 return pts, y, "ok"
         except AmbiguousPredicate:
             return None, None, "ambiguous"
     return None, None, "starved"
 
 
-def _max_feasible_atoms(shape, accept, cap: int) -> int:
-    """Largest support size (up to cap) for which some valid simplex exists.
-    Exact subset search on finite shapes; continuous shapes always admit
-    arbitrarily small patches, so the cap itself is returned."""
+def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int, ctx: GeomContext) -> int:
+    """Largest support size (up to cap) for which some simplex of `spec`
+    exists, with the shape's points as witnesses. Exact subset search on
+    finite shapes; continuous shapes always admit arbitrarily small patches,
+    so the cap itself is returned."""
     fin = finite_points(shape)
     if fin is None:
         return cap
@@ -216,7 +197,7 @@ def _max_feasible_atoms(shape, accept, cap: int) -> int:
     for size in range(min(cap, n), 1, -1):
         for comb in combinations(range(n), size):
             try:
-                if accept(fin[list(comb)]):
+                if is_simplex(fin[list(comb)], spec, fin, ctx):
                     return size
             except AmbiguousPredicate:
                 continue
@@ -349,66 +330,23 @@ def check_convex_lemma(shape, r, k, trials, seed, strict=False,
     return _run_cell("Convex", shape, r, k, trials, seed, trial)
 
 
-def _vr_accept(spec: ComplexSpec, ctx: GeomContext):
-    """Diameter predicate with exact bound shortcuts: only diameters within
-    twice the ambiguity band of the scale go through threshold_compare."""
-    band = ctx.eps_geo * max(1.0, abs(spec.scale))
-
-    def accept(pts):
-        if pts.shape[0] == 1:
-            diam = 0.0
-        else:
-            diff = pts[:, None, :] - pts[None, :, :]
-            diam = float(np.sqrt((diff * diff).sum(axis=2).max()))
-        if diam <= spec.scale - 2.0 * band:
-            return True
-        if diam >= spec.scale + 2.0 * band:
-            return False
-        return is_vr_simplex(Simplex(tuple(map(tuple, pts))), spec, ctx)
-    return accept
-
-
-def _cech_accept(spec: ComplexSpec, ctx: GeomContext):
-    """Min-ball predicate with rigorous radius bounds, tried in this order: max distance to
-    any vertex (above), half the diameter (below), max distance to the centroid (above);
-    the exact ball is computed only when the bounds straddle the threshold."""
-    half = spec.scale / 2.0
-    band = ctx.eps_geo * max(1.0, abs(half))
-    lo, hi = half - 2.0 * band, half + 2.0 * band
-
-    def accept(pts):
-        if pts.shape[0] > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            d2 = (diff * diff).sum(axis=2)
-            if math.sqrt(d2.max(axis=1).min()) <= lo:
-                return True
-            if 0.5 * math.sqrt(d2.max()) >= hi:
-                return False
-            if max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]) <= lo:
-                return True
-        elif 0.0 <= lo:
-            return True
-        return is_cech_simplex_ambient(Simplex(tuple(map(tuple, pts))), spec, ctx)
-    return accept
-
-
-def _simplex_cell(lemma_id, shape, r, k, trials, seed, accept, radii, margin,
+def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin,
                   ctx: GeomContext) -> LemmaReport:
-    """Cell whose trials sample a simplex of 1..k+1 atoms passing `accept`
-    (patch radii `radii` = (full, safe), see _sample_valid_simplex), draw
-    convex weights and score `margin(pts, weights)` against tolerance at r. A
-    margin whose projection lands on the medial axis counts as inf."""
-    cap = _max_feasible_atoms(shape, accept, k + 1)
+    """Cell whose trials sample a simplex of 1..k+1 atoms of `spec` (see
+    _sample_simplex), draw convex weights and score `margin(pts, weights, y)`
+    against tolerance at r, y being the on-shape point the support was drawn
+    around. A margin whose projection lands on the medial axis counts as inf."""
+    cap = _max_feasible_atoms(shape, spec, k + 1, ctx)
     tol = _tol_for(r, ctx)
 
     def trial(rng):
         natoms = 1 + int(rng.integers(0, cap))
-        pts, status = _sample_valid_simplex(shape, natoms, accept, *radii, rng)
+        pts, y, status = _sample_simplex(shape, natoms, spec, rng, ctx)
         if status != "ok":
             return status, 0.0, 0.0
         lam = _dirichlet_weights(natoms, rng)
         try:
-            return "ok", margin(pts, lam), tol
+            return "ok", margin(pts, lam, y), tol
         except MedialAxisProximity:
             return "ok", math.inf, tol
 
@@ -420,9 +358,9 @@ def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False,
     """Barycenters of diameter-r supports stay within r of the shape."""
     if r <= 0:
         raise ValueError("r must be positive")
-    accept = _vr_accept(ComplexSpec("vr", r, strict=strict, shape=shape), ctx)
-    return _simplex_cell("VrTub", shape, r, k, trials, seed, accept, (r, r / 2),
-                         lambda pts, lam: distance_to_shape(shape, lam @ pts) - r, ctx)
+    return _simplex_cell("VrTub", shape, r, k, trials, seed,
+                         ComplexSpec("vr", r, strict=strict, shape=shape),
+                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
 
 
 def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
@@ -430,13 +368,13 @@ def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
     """Adjoining the retraction point keeps a diameter-r support within
     diameter r: every vertex lies within r of the projected barycenter."""
     _require_scale_below_reach(shape, r)
-    accept = _vr_accept(ComplexSpec("vr", r, strict=strict, shape=shape), ctx)
 
-    def margin(pts, lam):
+    def margin(pts, lam, y):
         p = project(shape, lam @ pts, ctx)
         return max_row_norm(pts - p) - r
 
-    return _simplex_cell("VrSimplex", shape, r, k, trials, seed, accept, (r, r / 2), margin, ctx)
+    return _simplex_cell("VrSimplex", shape, r, k, trials, seed,
+                         ComplexSpec("vr", r, strict=strict, shape=shape), margin, ctx)
 
 
 def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
@@ -445,12 +383,13 @@ def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
     some vertex."""
     if r <= 0:
         raise ValueError("r must be positive")
-    accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
 
-    def margin(pts, lam):
+    def margin(pts, lam, y):
         return float(row_norms(pts - lam @ pts).min()) - r
 
-    return _simplex_cell("CechRadius", shape, r, k, trials, seed, accept, (2.0 * r, r), margin, ctx)
+    return _simplex_cell("CechRadius", shape, r, k, trials, seed,
+                         ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
+                         margin, ctx)
 
 
 def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
@@ -458,9 +397,9 @@ def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
     """Barycenters of min-ball-radius-r supports stay within r of the shape."""
     if r <= 0:
         raise ValueError("r must be positive")
-    accept = _cech_accept(ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape), ctx)
-    return _simplex_cell("CechTub", shape, r, k, trials, seed, accept, (2.0 * r, r),
-                         lambda pts, lam: distance_to_shape(shape, lam @ pts) - r, ctx)
+    return _simplex_cell("CechTub", shape, r, k, trials, seed,
+                         ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
+                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
 
 
 def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
@@ -471,71 +410,37 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
     if flavor not in ("ambient", "intrinsic"):
         raise ValueError(f"flavor must be ambient or intrinsic, got {flavor!r}")
     _require_scale_below_reach(shape, r)
-    scale = 2.0 * r
+    spec = ComplexSpec("cech-" + flavor, 2.0 * r, strict=strict, shape=shape)
     if flavor == "ambient":
-        accept = _cech_accept(ComplexSpec("cech-ambient", scale, strict=strict, shape=shape), ctx)
         return _simplex_cell(
-            "CechSimplexAmbient", shape, r, k, trials, seed, accept, (scale, r),
-            lambda pts, lam: min_enclosing_ball(
+            "CechSimplexAmbient", shape, r, k, trials, seed, spec,
+            lambda pts, lam, y: min_enclosing_ball(
                 _augment(pts, project(shape, lam @ pts, ctx))).radius - r, ctx)
 
-    spec = ComplexSpec("cech-intrinsic", scale, strict=strict, shape=shape)
     # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
     pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
     band = ctx.eps_geo * max(1.0, abs(r))
 
-    def accept(pts, y):
-        # y is an on-shape witness; a cover comfortably below r settles
-        # the existential without the full candidate sweep
-        if max_row_norm(pts - y) <= r - 2.0 * band:
-            return True
-        s = Simplex(tuple(map(tuple, pts)))
-        return is_cech_simplex_intrinsic(s, spec, (tuple(y),), ctx)
-
-    fin = finite_points(shape)
-    if fin is None:
-        cap = k + 1
-    else:
-        def accept_any(pts):
-            s = Simplex(tuple(map(tuple, pts)))
-            return is_cech_simplex_intrinsic(s, spec, tuple(map(tuple, fin)), ctx)
-        cap = _max_feasible_atoms(shape, accept_any, k + 1)
-
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        pts, y, status = _sample_witnessed_simplex(shape, natoms, accept, r, rng)
-        if status != "ok":
-            return status, 0.0, 0.0
-        lam = _dirichlet_weights(natoms, rng)
-        try:
-            p = project(shape, lam @ pts, ctx)
-        except MedialAxisProximity:
-            return "ok", math.inf, _tol_for(r, ctx)
+    def margin(pts, lam, y):
+        p = project(shape, lam @ pts, ctx)
         aug = _augment(pts, p)
-        # smallest squared cover over the centers y, p and the pool; a pool
-        # point farther from aug[0] than that of y or p cannot win
-        cover2 = _cover2(np.stack((y, p)), aug)
+        # least cover over the centers y, p and the pool; a pool point
+        # farther from aug[0] than the cover of y or p cannot win
+        cover = cover_radius(np.stack((y, p)), aug)
         d = pool - aug[0]
-        cover2 = min(cover2, _cover2(pool[(d * d).sum(axis=1) <= cover2 * (1.0 + 1e-9)], aug))
-        margin = math.sqrt(cover2) - r
-        if margin > -2.0 * band:
+        near = pool[(d * d).sum(axis=1) <= cover * cover * (1.0 + 1e-9)]
+        cover = min(cover, cover_radius(near, aug))
+        if cover - r > -2.0 * band:
             # near or past the threshold: bring in the projected center of
             # the ambient smallest ball before judging
             try:
                 center = project(shape, np.asarray(min_enclosing_ball(aug).center), ctx)
-                extra = max_row_norm(center - aug)
-                margin = min(margin, extra - r)
+                cover = min(cover, max_row_norm(center - aug))
             except MedialAxisProximity:
                 pass
-        return "ok", margin, _tol_for(r, ctx)
+        return cover - r
 
-    return _run_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, trial)
-
-
-def _cover2(cands: np.ndarray, aug: np.ndarray) -> float:
-    """Least over the rows of cands of the largest squared distance to aug."""
-    diff = cands[:, None, :] - aug[None, :, :]
-    return float((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
+    return _simplex_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, spec, margin, ctx)
 
 
 def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -9,14 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    ComplexSpec,
-    Simplex,
-    is_cech_simplex_ambient,
-    is_cech_simplex_intrinsic,
-    is_vr_simplex,
-    min_enclosing_ball,
-)
+from .complexes import ComplexSpec, Simplex, is_simplex, min_enclosing_ball
 from .errors import SimplexViolation, SpecMismatch
 from .euclid import DEFAULT_CTX, GeomContext, as_point, convex_combination, diameter
 from .shapes import distance_to_shape
@@ -41,15 +34,13 @@ class ThickeningPoint:
         return Simplex(self.measure.support)
 
 
-def _failure_report(s: Simplex, spec: ComplexSpec, witnesses) -> str:
+def _failure_report(pts: np.ndarray, spec: ComplexSpec, witnesses) -> str:
     if spec.flavor == "vr":
-        measured = diameter(s.array())
-        return (f"support diameter {measured:.12g} exceeds scale {spec.scale:.12g} "
+        return (f"support diameter {diameter(pts):.12g} exceeds scale {spec.scale:.12g} "
                 f"(flavor vr, strict={spec.strict})")
-    ball = min_enclosing_ball(s.array())
     if spec.flavor == "cech-ambient":
-        return (f"support min-ball radius {ball.radius:.12g} exceeds {spec.scale / 2:.12g} "
-                f"(flavor cech-ambient, strict={spec.strict})")
+        return (f"support min-ball radius {min_enclosing_ball(pts).radius:.12g} exceeds "
+                f"{spec.scale / 2:.12g} (flavor cech-ambient, strict={spec.strict})")
     return (f"no on-shape witness covers the support within {spec.scale / 2:.12g} "
             f"(flavor cech-intrinsic, strict={spec.strict}, "
             f"{len(tuple(witnesses))} candidate witnesses)")
@@ -60,15 +51,9 @@ def make_thickening_point(measure: Measure, spec: ComplexSpec, witnesses=(),
     """Validate that the measure's support is a simplex of the complex and
     wrap it. Raises SimplexViolation with a diagnostic report on failure;
     AmbiguousPredicate propagates from the underlying predicate."""
-    s = Simplex(measure.support)
-    if spec.flavor == "vr":
-        ok = is_vr_simplex(s, spec, ctx)
-    elif spec.flavor == "cech-ambient":
-        ok = is_cech_simplex_ambient(s, spec, ctx)
-    else:
-        ok = is_cech_simplex_intrinsic(s, spec, witnesses, ctx)
-    if not ok:
-        raise SimplexViolation(_failure_report(s, spec, witnesses))
+    pts = measure.array()  # Measure's atoms are finite and pairwise distinct
+    if not is_simplex(pts, spec, witnesses, ctx):
+        raise SimplexViolation(_failure_report(pts, spec, witnesses))
     return ThickeningPoint(measure, spec)
 
 

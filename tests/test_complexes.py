@@ -1,12 +1,13 @@
 """Simplex predicates, smallest enclosing balls, skeleton enumeration.
 
-The enclosing-ball oracle below is independent of the library's recursive
+The enclosing-ball oracle below is independent of the library's Welzl
 solver: it scans every boundary-support subset of size <= dim+1, solves the
 circumcenter least-squares system directly, keeps the candidates that enclose
 all points, and returns the smallest. Frozen values below were produced by
 that oracle.
 """
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from thicken import (
     AmbiguousPredicate,
     ComplexSpec,
     Circle,
+    DimensionMismatch,
     Simplex,
     SizeLimit,
     ZeroSphere,
@@ -115,6 +117,17 @@ def test_min_ball_jung_bound():
         assert got.radius >= diameter(pts) / 2.0 - 1e-9
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+def test_min_ball_on_a_thousand_points(dim):
+    # the solver's recursion depth is bounded by the dimension, not the
+    # point count
+    pts = np.random.default_rng(0).random((1000, dim))
+    got = min_enclosing_ball(pts)
+    dists = np.linalg.norm(pts - np.asarray(got.center), axis=1)
+    assert (dists <= got.radius).all()
+    assert got.radius == dists.max()
+
+
 def test_pair_support_solve_is_one_division():
     # min_enclosing_ball answers a two-point support's 1x1 Gram system with
     # the quotient that LAPACK's LU solve returns
@@ -201,6 +214,38 @@ def test_vr_matches_pairwise_scan_on_random_subsets():
             assert is_vr_simplex(Simplex(tuple(map(tuple, pts))), spec) == expected
         except AmbiguousPredicate:
             pass  # only near-threshold draws land here
+
+
+def test_predicates_take_point_arrays():
+    circle = Circle(1.0)
+    eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    assert is_vr_simplex(eq, ComplexSpec("vr", 1.0))
+    assert not is_cech_simplex_ambient(eq, ComplexSpec("cech-ambient", 1.0))
+    assert is_cech_simplex_ambient(eq, ComplexSpec("cech-ambient", 1.2))
+    near = np.array([[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]])
+    assert is_cech_simplex_intrinsic(near, ComplexSpec("cech-intrinsic", 0.5, shape=circle),
+                                     near[:1])
+    bad = np.array([[0.0, 0.0], [np.inf, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        is_vr_simplex(bad, ComplexSpec("vr", 1.0))
+    with pytest.raises(DimensionMismatch):
+        is_cech_simplex_ambient(bad, ComplexSpec("cech-ambient", 1.0))
+    with pytest.raises(DimensionMismatch):
+        is_cech_simplex_intrinsic(np.array([[np.nan, 0.0]]),
+                                  ComplexSpec("cech-intrinsic", 1.0, shape=circle), ())
+
+
+def test_cech_predicates_cap_dimension_before_bounds():
+    # a single point passes every radius bound, yet the ball dimension cap
+    # still applies
+    point = np.zeros((1, 11))
+    with pytest.raises(SizeLimit):
+        is_cech_simplex_ambient(point, ComplexSpec("cech-ambient", 1.0))
+    with pytest.raises(SizeLimit):
+        is_cech_simplex_intrinsic(point, ComplexSpec("cech-intrinsic", 1.0, shape=Circle(1.0)),
+                                  point)
+    with pytest.raises(ValueError):
+        is_cech_simplex_ambient(point, ComplexSpec("vr", 1.0))
 
 
 def test_predicates_raise_in_ambiguity_band():
@@ -361,3 +406,17 @@ def test_format_skeleton_shape():
     lines = text.splitlines()
     assert lines[0] == "dim 2 scale 1 flavor vr strict 0"
     assert lines[1:] == ["0", "1", "0 1"]
+
+
+def test_skeleton_text_is_pinned():
+    # 40 circle points at scale 0.6 up to dimension 3, each flavor; the
+    # expected text is frozen output, and no predicate shortcut may change it
+    ang = np.random.default_rng(2017).random(40) * 2 * np.pi
+    pts = np.c_[np.cos(ang), np.sin(ang)].tolist()
+    wang = np.random.default_rng(1709).random(1024) * 2 * np.pi
+    witnesses = [tuple(w) for w in np.c_[np.cos(wang), np.sin(wang)]]
+    text = "".join(
+        format_skeleton(pts, ComplexSpec(flavor, 0.6, shape=Circle(1.0)), 3,
+                        witnesses=witnesses if flavor == "cech-intrinsic" else ())
+        for flavor in ("vr", "cech-ambient", "cech-intrinsic"))
+    assert text == (Path(__file__).parent / "data" / "skeleton_circle40.txt").read_text()

@@ -209,6 +209,11 @@ def test_cli_wasserstein_and_skeleton(tmp_path):
     assert res.stdout.splitlines()[0] == "dim 2 scale 1 flavor vr strict 0"
     assert "0 1 2" in res.stdout.splitlines()
 
+    res = run_cli("skeleton", str(pts), "--scale", "1.0", "--flavor", "cech-intrinsic",
+                  "--shape", "shape=circle", "--witnesses", "0")
+    assert res.returncode == 2
+    assert "--witnesses" in res.stderr
+
 
 def test_cli_project_exit_codes():
     ok = run_cli("project", "shape=circle radius=1", "2,0")

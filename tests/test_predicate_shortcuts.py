@@ -1,0 +1,110 @@
+"""The simplex predicates' bound shortcuts against the exact computation.
+
+Each predicate decides most inputs by exact bounds before its kernel runs.
+Here scales sit at the decisive value shifted by a few ambiguity bands on
+either side of the shortcut cut-off (twice the band), and far from it, and
+every answer, or AmbiguousPredicate, must be the one threshold_compare gives
+on the quantity itself: the diameter, the smallest enclosing ball radius, or
+the cover over the witnesses plus the projected ball center.
+"""
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from thicken import (  # noqa: E402
+    AmbiguousPredicate,
+    Circle,
+    ComplexSpec,
+    MedialAxisProximity,
+    Simplex,
+    Sphere,
+    ZeroSphere,
+    is_cech_simplex_ambient,
+    is_cech_simplex_intrinsic,
+    is_vr_simplex,
+    min_enclosing_ball,
+    project,
+    sample,
+)
+from thicken.euclid import DEFAULT_CTX, coincident_pair, diameter, threshold_compare  # noqa: E402
+
+SHAPES = {1: ZeroSphere(), 2: Circle(1.0), 3: Sphere(3, 1.0)}
+# offsets in ambiguity bands: inside the band, at and around the shortcut
+# cut-off of two bands, and far enough out for the coarse bounds to decide
+BANDS = (-1e6, -1e3, -4.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0,
+         1e3, 1e6)
+
+
+@st.composite
+def point_sets(draw):
+    k = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    pts = draw(arrays(np.float64, (k, d), elements=st.floats(
+        -3.0, 3.0, allow_nan=False, allow_subnormal=False)))
+    assume(coincident_pair(pts) is None)
+    return pts
+
+
+offsets = st.one_of(st.sampled_from(BANDS), st.floats(-4.0, 4.0))
+
+
+def _threshold(value: float, bands: float) -> float:
+    t = value + bands * DEFAULT_CTX.eps_geo * max(1.0, value)
+    assume(t > 0.0)
+    return t
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except AmbiguousPredicate:
+        return "ambiguous"
+
+
+def _check(predicate, pts, expected):
+    assert _outcome(lambda: predicate(pts)) == expected
+    assert _outcome(lambda: predicate(Simplex(tuple(map(tuple, pts))))) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets(), offsets, st.booleans())
+def test_vr_shortcuts_match_diameter_compare(pts, bands, strict):
+    diam = diameter(pts)
+    spec = ComplexSpec("vr", _threshold(diam, bands), strict=strict)
+    expected = _outcome(lambda: threshold_compare(diam, spec.scale, strict))
+    _check(lambda s: is_vr_simplex(s, spec), pts, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets(), offsets, st.booleans())
+def test_cech_ambient_shortcuts_match_min_ball_compare(pts, bands, strict):
+    radius = min_enclosing_ball(pts).radius
+    half = _threshold(radius, bands)
+    spec = ComplexSpec("cech-ambient", 2.0 * half, strict=strict)
+    expected = _outcome(lambda: threshold_compare(radius, half, strict))
+    _check(lambda s: is_cech_simplex_ambient(s, spec), pts, expected)
+
+
+def _full_cover(pts, shape, witnesses) -> float:
+    cands = [witnesses]
+    try:
+        cands.append(project(shape, np.asarray(min_enclosing_ball(pts).center))[None, :])
+    except MedialAxisProximity:
+        pass
+    cand = np.vstack(cands)
+    return float(np.linalg.norm(cand[:, None, :] - pts[None, :, :], axis=2).max(axis=1).min())
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets(), offsets, st.booleans(), st.integers(1, 64), st.integers(0, 2**16))
+def test_cech_intrinsic_shortcut_matches_full_cover_compare(pts, bands, strict, count, seed):
+    shape = SHAPES[pts.shape[1]]
+    witnesses = sample(shape, count, seed)
+    cover = _full_cover(pts, shape, witnesses)
+    half = _threshold(cover, bands)
+    spec = ComplexSpec("cech-intrinsic", 2.0 * half, strict=strict, shape=shape)
+    expected = _outcome(lambda: threshold_compare(cover, half, strict))
+    _check(lambda s: is_cech_simplex_intrinsic(s, spec, witnesses), pts, expected)
