@@ -13,6 +13,7 @@ from .errors import (
     AmbiguousPredicate,
     ConfigError,
     DimensionMismatch,
+    InvalidInput,
     MedialAxisProximity,
     SimplexViolation,
     SizeLimit,
@@ -94,7 +95,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousPredicate", "ConfigError", "DimensionMismatch",
+    "AmbiguousPredicate", "ConfigError", "DimensionMismatch", "InvalidInput",
     "MedialAxisProximity", "SimplexViolation", "SizeLimit", "SpecMismatch",
     "ThickenError", "UnsupportedShape",
     "DEFAULT_CTX", "GeomContext", "convex_combination", "diameter", "distance",

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbiguousPredicate, MedialAxisProximity, SizeLimit
+from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity, SizeLimit
 from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, max_row_norm,
                      norm, threshold_compare)
 from .shapes import project
@@ -47,7 +47,7 @@ class Simplex:
         pts = as_points([as_point(v) for v in self.vertices])
         pair = coincident_pair(pts)
         if pair is not None:
-            raise ValueError("vertices %d and %d coincide" % pair)
+            raise InvalidInput("vertices %d and %d coincide" % pair)
         object.__setattr__(self, "vertices", tuple(tuple(map(float, v)) for v in pts))
 
     def array(self) -> np.ndarray:
@@ -298,6 +298,9 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     limit = _MAX_VR_POINTS if spec.flavor == "vr" else _MAX_CECH_POINTS
     if m > limit:
         raise SizeLimit(f"{spec.flavor} skeleton supports at most {limit} points, got {m}")
+    pair = coincident_pair(pts)
+    if pair is not None:
+        raise InvalidInput("points %d and %d coincide" % pair)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     band = ctx.eps_geo * max(1.0, abs(spec.scale))
 

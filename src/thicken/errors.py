@@ -39,3 +39,9 @@ class SizeLimit(ThickenError):
 
 class ConfigError(ThickenError):
     """Malformed harness configuration."""
+
+
+class InvalidInput(ThickenError, ValueError):
+    """A value outside its documented domain: weights that are not a
+    probability vector, coincident points, a malformed measure file, a
+    non-positive sample count."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MedialAxisProximity, UnsupportedShape
+from .errors import DimensionMismatch, InvalidInput, MedialAxisProximity, UnsupportedShape
 from .euclid import DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair
 
 __all__ = [
@@ -471,7 +471,7 @@ def project(shape, x, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
 def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` on-shape points using the supplied generator."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise InvalidInput(f"count must be >= 1, got {count}")
     return _shape(shape).sample(count, rng)
 
 

@@ -1,10 +1,13 @@
 """Exact 1-Wasserstein distance between finitely supported measures.
 
 The solver runs the transportation variant of the network simplex on the
-complete bipartite graph between the two supports: spanning-tree bases,
-dual pricing, most-negative entering arc with lexicographic ties, and a
-Bland fallback after degenerate streaks. A brute-force oracle enumerates
-every spanning-tree basis of tiny instances for independent verification.
+complete bipartite graph between the two supports. Its basis is a spanning
+tree kept from pivot to pivot (parent, depth and node potentials, as in
+Bonneel et al. 2011): pricing is one vectorized pass over the reduced costs,
+the entering arc is the most negative with lexicographic ties, with a Bland
+fallback after degenerate streaks, and each pivot re-hangs only the subtree
+that the leaving arc cuts off. A brute-force oracle enumerates every
+spanning-tree basis of tiny instances for independent verification.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeLimit
+from .errors import DimensionMismatch, InvalidInput, SizeLimit
 from .euclid import as_point, as_points, coincident_pair
 
 _MAX_ATOMS = 64
@@ -35,28 +38,28 @@ class Measure:
 
     def __post_init__(self):
         if len(self.support) == 0:
-            raise ValueError("measure needs at least one atom")
+            raise InvalidInput("measure needs at least one atom")
         pts = as_points([as_point(p) for p in self.support])
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
-            raise ValueError("weights must match support length")
+            raise InvalidInput("weights must match support length")
         if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+            raise InvalidInput("weights must be finite")
         if np.any(w < 0):
-            raise ValueError(f"negative weight {w.min()}")
+            raise InvalidInput(f"negative weight {w.min()}")
         keep = w > _ZERO_WEIGHT
         pts, w = pts[keep], w[keep]
         if pts.shape[0] == 0:
-            raise ValueError("measure needs at least one atom with positive weight")
+            raise InvalidInput("measure needs at least one atom with positive weight")
         if pts.shape[0] > _MAX_ATOMS:
             raise SizeLimit(f"at most {_MAX_ATOMS} atoms, got {pts.shape[0]}")
         total = float(w.sum())
         if abs(total - 1.0) > _RENORM_DRIFT:
-            raise ValueError(f"weights sum to {total!r}, off by more than {_RENORM_DRIFT}")
+            raise InvalidInput(f"weights sum to {total!r}, off by more than {_RENORM_DRIFT}")
         w = w / total
         pair = coincident_pair(pts)
         if pair is not None:
-            raise ValueError("support atoms %d and %d coincide" % pair)
+            raise InvalidInput("support atoms %d and %d coincide" % pair)
         object.__setattr__(self, "support", tuple(tuple(map(float, p)) for p in pts))
         object.__setattr__(self, "weights", tuple(map(float, w)))
 
@@ -97,77 +100,25 @@ def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:
     if P.shape != (a.size, b.size):
         raise DimensionMismatch(f"plan shape {P.shape} does not match supports {(a.size, b.size)}")
     if np.any(P < -1e-12):
-        raise ValueError(f"negative plan entry {P.min()}")
+        raise InvalidInput(f"negative plan entry {P.min()}")
     if np.max(np.abs(P.sum(axis=1) - a)) > 1e-10:
-        raise ValueError("plan row sums do not reproduce the first measure")
+        raise InvalidInput("plan row sums do not reproduce the first measure")
     if np.max(np.abs(P.sum(axis=0) - b)) > 1e-10:
-        raise ValueError("plan column sums do not reproduce the second measure")
+        raise InvalidInput("plan column sums do not reproduce the second measure")
     if abs(P.sum() - 1.0) > 1e-10:
-        raise ValueError(f"plan total mass {P.sum()!r} is not 1")
+        raise InvalidInput(f"plan total mass {P.sum()!r} is not 1")
     return float(np.sum(P * _cost_matrix(mu, nu)))
 
 
-def _tree_duals(cols_by_row: list, rows_by_col: list, C: list) -> tuple:
-    """Node potentials with u[0] = 0, following basic arcs: u_i + v_j = C_ij."""
-    u = [math.nan] * len(cols_by_row)
-    v = [math.nan] * len(rows_by_col)
-    u[0] = 0.0
-    stack = [(True, 0)]
-    while stack:
-        is_row, k = stack.pop()
-        if is_row:
-            for j in cols_by_row[k]:
-                if math.isnan(v[j]):
-                    v[j] = C[k][j] - u[k]
-                    stack.append((False, j))
-        else:
-            for i in rows_by_col[k]:
-                if math.isnan(u[i]):
-                    u[i] = C[i][k] - v[k]
-                    stack.append((True, i))
-    return np.array(u), np.array(v)
-
-
-def _basis_cycle(cols_by_row: list, rows_by_col: list, i0: int, j0: int) -> list:
-    """Cells of the unique cycle created by adding arc (i0, j0) to the basis
-    tree, starting with (i0, j0); signs alternate +,-,+,... along the list."""
-    # path from column node j0 back to row node i0 through the tree
-    parent = {}
-    stack = [("c", j0)]
-    seen = {("c", j0)}
-    while stack:
-        kind, k = stack.pop()
-        if kind == "c":
-            for i in rows_by_col[k]:
-                node = ("r", i)
-                if node not in seen:
-                    seen.add(node)
-                    parent[node] = ("c", k)
-                    if i == i0:
-                        stack.clear()
-                        break
-                    stack.append(node)
-        else:
-            for j in cols_by_row[k]:
-                node = ("c", j)
-                if node not in seen:
-                    seen.add(node)
-                    parent[node] = ("r", k)
-                    stack.append(node)
-    cells = [(i0, j0)]
-    node = ("r", i0)
-    while node != ("c", j0):
-        prev = parent[node]
-        if node[0] == "r":
-            cells.append((node[1], prev[1]))
-        else:
-            cells.append((prev[1], node[1]))
-        node = prev
-    return cells
-
-
 def wasserstein1(mu: Measure, nu: Measure) -> tuple:
-    """Exact optimum of the transportation linear program and an optimal plan."""
+    """Exact optimum of the transportation linear program and an optimal plan.
+
+    The basis tree is kept between pivots: node k < m is row k, node m + j is
+    column j, and the tree hangs from row 0 by `parent`/`depth` with each
+    node's potential `pot` set from its parent as C_ij - pot[parent]. A pivot
+    reads its cycle off the two climbs to the common ancestor, then re-hangs
+    only the subtree that the leaving arc cut off under the entering arc.
+    Raises SizeLimit past 20000 pivots."""
     C = _cost_matrix(mu, nu)
     a, b = mu.weight_array(), nu.weight_array()
     m, n = C.shape
@@ -175,15 +126,18 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
         P = np.outer(a, b)
         return float(np.sum(P * C)), TransportPlan(_plan_entries(P))
 
-    # northwest-corner initial basic feasible solution
-    F = np.zeros((m, n))
+    # northwest-corner initial basic feasible solution, as a tree on m + n nodes
+    F = [[0.0] * n for _ in range(m)]
     basis = np.zeros((m, n), dtype=bool)
-    ra, rb = a.copy(), b.copy()
+    adj = [set() for _ in range(m + n)]
+    ra, rb = a.tolist(), b.tolist()
     i = j = 0
     while True:
         q = min(ra[i], rb[j])
-        F[i, j] = q
+        F[i][j] = q
         basis[i, j] = True
+        adj[i].add(m + j)
+        adj[m + j].add(i)
         ra[i] -= q
         rb[j] -= q
         if i == m - 1 and j == n - 1:
@@ -193,20 +147,38 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
         else:
             j += 1
 
+    # node_cost[x][y] is the cost of the arc between nodes x and y
+    node_cost = [[0.0] * m + row for row in C.tolist()] + C.T.tolist()
+
+    def arc(x, y):
+        return (x, y - m) if x < m else (y, x - m)
+
+    def hang(x, up):
+        """Hang node x under `up`, and x's side of the tree under x; sets
+        parent, depth and potential on that side only."""
+        parent[x], stack = up, [x]
+        while stack:
+            x = stack.pop()
+            up = parent[x]
+            depth[x] = depth[up] + 1
+            pot[x] = node_cost[x][up] - pot[up]
+            for y in adj[x]:
+                if y != up:
+                    parent[y] = x
+                    stack.append(y)
+
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    for y in adj[0]:
+        hang(y, 0)
+
     tol = 1e-13 * max(1.0, float(C.max()))
-    C_rows = C.tolist()
     degenerate_streak = 0
     for _ in range(20000):
-        # ascending neighbor lists of the basis tree: columns by row, rows by column
-        arcs = list(zip(*(idx.tolist() for idx in np.nonzero(basis))))
-        adjacency = ([[j for i, j in arcs if i == r] for r in range(m)],
-                     [[i for i, j in arcs if j == c] for c in range(n)])
-        u, v = _tree_duals(*adjacency, C_rows)
-        reduced = C - u[:, None] - v[None, :]
+        duals = np.array(pot)
+        reduced = C - duals[:m, None] - duals[None, m:]
         reduced[basis] = 0.0
         if degenerate_streak < 50:
-            flat = np.argmin(reduced)  # ties resolve to the lowest index
-            i0, j0 = np.unravel_index(flat, reduced.shape)
+            i0, j0 = divmod(int(np.argmin(reduced)), n)  # ties resolve to the lowest index
             if reduced[i0, j0] >= -tol:
                 break
         else:
@@ -215,19 +187,43 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
             if neg.size == 0:
                 break
             i0, j0 = map(int, neg[0])
-        cells = _basis_cycle(*adjacency, int(i0), int(j0))
-        minus = cells[1::2]
-        theta = min(F[c] for c in minus)
-        leave = min(c for c in minus if F[c] <= theta)
-        for k, c in enumerate(cells):
-            F[c] += theta if k % 2 == 0 else -theta
-        F[leave] = 0.0
+        # cycle: (i0, j0), then the tree path from row i0 to column j0, each
+        # path arc named by its lower node; signs alternate +,-,+,...
+        x, y, ups, downs = i0, m + j0, [], []
+        while depth[x] > depth[y]:
+            ups.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            downs.append(y)
+            y = parent[y]
+        while x != y:
+            ups.append(x)
+            downs.append(y)
+            x, y = parent[x], parent[y]
+        kids = ups + downs[::-1]
+        cells = [(i0, j0)] + [arc(k, parent[k]) for k in kids]
+        theta = min(F[i][j] for i, j in cells[1::2])
+        leave, at = min((c, k) for k, c in enumerate(cells) if k % 2 and F[c[0]][c[1]] <= theta)
+        for k, (i, j) in enumerate(cells):
+            F[i][j] += theta if k % 2 == 0 else -theta
+        F[leave[0]][leave[1]] = 0.0
         basis[leave] = False
         basis[i0, j0] = True
+        cut = kids[at - 1]
+        adj[cut].discard(parent[cut])
+        adj[parent[cut]].discard(cut)
+        adj[i0].add(m + j0)
+        adj[m + j0].add(i0)
+        # the cut-off side holds i0 when the leaving arc lies on i0's climb
+        if at <= len(ups):
+            hang(i0, m + j0)
+        else:
+            hang(m + j0, i0)
         degenerate_streak = degenerate_streak + 1 if theta <= tol else 0
     else:
-        raise RuntimeError("network simplex failed to converge")
+        raise SizeLimit("network simplex exceeded its 20000-pivot cap")
 
+    F = np.array(F)
     F[F < 0] = 0.0
     return float(np.sum(F * C)), TransportPlan(_plan_entries(F))
 
@@ -318,15 +314,15 @@ def parse_measure_text(text: str) -> Measure:
             continue
         fields = line.split()
         if len(fields) < 2:
-            raise ValueError(f"line {lineno}: need weight and at least one coordinate")
+            raise InvalidInput(f"line {lineno}: need weight and at least one coordinate")
         try:
             vals = [float(f) for f in fields]
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise InvalidInput(f"line {lineno}: {exc}") from None
         weights.append(vals[0])
         support.append(tuple(vals[1:]))
     if not support:
-        raise ValueError("no atoms found")
+        raise InvalidInput("no atoms found")
     return Measure(tuple(support), tuple(weights))
 
 

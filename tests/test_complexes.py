@@ -17,6 +17,7 @@ from thicken import (
     ComplexSpec,
     Circle,
     DimensionMismatch,
+    InvalidInput,
     Simplex,
     SizeLimit,
     ZeroSphere,
@@ -406,6 +407,18 @@ def test_format_skeleton_shape():
     lines = text.splitlines()
     assert lines[0] == "dim 2 scale 1 flavor vr strict 0"
     assert lines[1:] == ["0", "1", "0 1"]
+
+
+def test_skeleton_rejects_coincident_points():
+    # a duplicated point would be listed as an edge of itself
+    pts = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    for flavor in ("vr", "cech-ambient"):
+        with pytest.raises(InvalidInput, match="points 0 and 1 coincide"):
+            enumerate_skeleton(pts, ComplexSpec(flavor, 1.5), 2)
+        with pytest.raises(InvalidInput, match="points 0 and 1 coincide"):
+            format_skeleton(pts, ComplexSpec(flavor, 1.5), 2)
+    with pytest.raises(InvalidInput, match="points 1 and 2 coincide"):
+        format_skeleton([[0.0], [1.0], [1.0 + 1e-13]], ComplexSpec("vr", 0.5), 1)
 
 
 def test_skeleton_text_is_pinned():

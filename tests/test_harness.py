@@ -215,6 +215,22 @@ def test_cli_wasserstein_and_skeleton(tmp_path):
     assert "--witnesses" in res.stderr
 
 
+def test_cli_rejects_bad_input_files(tmp_path, capsys):
+    import thicken.cli as cli
+
+    good = tmp_path / "good.txt"
+    good.write_text("1 0\n")
+    bad = tmp_path / "bad.txt"
+    for text in ("0.9 0\n", "0.5 0\n0.5 x\n", "0.5 0\n0.5 0\n", "# nothing\n"):
+        bad.write_text(text)
+        assert cli.main(["wasserstein", str(bad), str(good)]) in (1, 2)
+        assert cli.main(["wasserstein", str(good), str(bad)]) in (1, 2)
+        assert "internal error" not in capsys.readouterr().err
+    bad.write_text("0 0\n0 0\n1 0\n")
+    assert cli.main(["skeleton", str(bad), "--scale", "1.5"]) in (1, 2)
+    assert "points 0 and 1 coincide" in capsys.readouterr().err
+
+
 def test_cli_project_exit_codes():
     ok = run_cli("project", "shape=circle radius=1", "2,0")
     assert ok.returncode == 0

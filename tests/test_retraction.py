@@ -127,6 +127,25 @@ def test_homotopy_is_lipschitz_in_t():
                 assert d <= abs(t - s) * spread + 1e-9
 
 
+def test_homotopy_distance_is_kantorovich_rubinstein_exact():
+    # H_t - H_s = (t - s)(mu - delta_p), so W1(H_t, H_s) = |t - s| sum_i w_i |x_i - p|
+    # exactly: the coupling along each ray to p gives <=, and the 1-Lipschitz
+    # test function |y - p| gives >=; the reference never calls the solver
+    rng = np.random.default_rng(59)
+    gate = ((Circle(1.0), 0.9), (Ellipse(2.0, 1.0), 0.45), (Sphere(3, 1.0), 0.9),
+            (Torus(3.0, 1.0), 0.9))
+    for shape, r in gate:
+        spec = ComplexSpec("vr", r, shape=shape)
+        for natoms in range(1, 7):
+            tp = make_thickening_point(vr_measure_on(shape, r, natoms, rng), spec)
+            p = retract(tp)
+            spread = sum(w * math.dist(x, p)
+                         for x, w in zip(tp.measure.support, tp.measure.weights))
+            for s, t in ((0.0, 1.0), (0.25, 0.75), (0.9, 0.1), (1.0, 0.4)):
+                d = thickening_distance(homotopy_H(tp, s), homotopy_H(tp, t))
+                assert d == pytest.approx(abs(t - s) * spread, abs=1e-9)
+
+
 def test_homotopy_is_lipschitz_across_points():
     # spot check: moving the input point moves every slice of the homotopy by
     # at most (1 + (1-t) * tau/(tau-r)) times as much, since the barycenter is

@@ -9,6 +9,7 @@ from thicken import (
     Circle,
     Ellipse,
     FinitePointSet,
+    InvalidInput,
     MedialAxisProximity,
     Sphere,
     Torus,
@@ -110,6 +111,14 @@ def test_sample_exactness_special_cases():
     assert set(map(float, zs.ravel())) <= {-1.0, 1.0}
     sp = sample(Sphere(3, 1.0), 1000, seed=4)
     assert np.max(np.abs(np.linalg.norm(sp, axis=1) - 1.0)) < 1e-12
+
+
+def test_sample_count_must_be_positive():
+    for count in (0, -1):
+        with pytest.raises(InvalidInput, match="count must be >= 1"):
+            sample(Circle(1.0), count, seed=1)
+        with pytest.raises(InvalidInput, match="count must be >= 1"):
+            sample_rng(Circle(1.0), count, np.random.default_rng(1))
 
 
 def test_sample_is_seed_deterministic():

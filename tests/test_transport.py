@@ -2,14 +2,18 @@
 
 Two independent cross-checks: the tree-enumeration oracle (all spanning
 bases of the bipartite support graph) for small instances, and a generic LP
-solver for larger ones. Frozen values below were produced by the oracle.
+solver for larger ones. Frozen values below were produced by the oracle; the
+pinned digest fixes the solver's pivot sequence through its exact output.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from thicken import (
     DimensionMismatch,
+    InvalidInput,
     Measure,
     SizeLimit,
     TransportPlan,
@@ -42,14 +46,17 @@ def lp_wasserstein(mu: Measure, nu: Measure) -> float:
         A_eq[i, i * n:(i + 1) * n] = 1.0
     for j in range(n):
         A_eq[m + j, j::n] = 1.0
+    # at 1e-10 feasibility tolerances HiGHS agrees with an exact solver to ~1e-15
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return float(res.fun)
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="weights sum to 0.9"):
         Measure(((0.0,),), (0.9,))  # mass must sum to 1
     with pytest.raises(ValueError):
         Measure(((0.0,), (1.0,)), (-0.1, 1.1))
@@ -134,6 +141,62 @@ def test_wasserstein_matches_lp_on_larger_instances():
         assert got == pytest.approx(lp_wasserstein(mu, nu), abs=1e-8)
 
 
+def test_wasserstein_matches_lp_on_64_atom_supports():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 3):
+        mu, nu = (Measure(tuple(map(tuple, rng.normal(size=(64, dim)))),
+                          tuple(w / w.sum())) for w in rng.random((2, 64)) + 0.05)
+        got, plan = wasserstein1(mu, nu)
+        assert got == pytest.approx(lp_wasserstein(mu, nu), abs=1e-9)
+        assert plan_cost(plan, mu, nu) == pytest.approx(got, abs=1e-10)
+
+
+PIN_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
+
+
+def pinned_instances():
+    """300 seeded pairs in dims 1-3 with 1-64 atoms a side: random supports
+    and weights, uniform weights on subsets of the 4^dim grid, the whole grid
+    against a permutation of itself, and uniform collinear equispaced supports
+    shifted by a quarter step. The last three are degenerate; the permuted
+    3-d grids run the Bland fallback."""
+    rng = np.random.default_rng(20)
+    for k in range(300):
+        dim = int(rng.integers(1, 4))
+        m, n = (int(rng.choice(PIN_SIZES)) for _ in range(2))
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * dim, indexing="ij"), -1).reshape(-1, dim)
+        kind = k % 4
+        if kind == 0:
+            pts = [rng.normal(size=(s, dim)) for s in (m, n)]
+            ws = [rng.random(s) + 0.05 for s in (m, n)]
+            ws = [w / w.sum() for w in ws]
+        elif kind == 1:
+            m, n = min(m, len(grid)), min(n, len(grid))
+            pts = [grid[rng.choice(len(grid), size=s, replace=False)] for s in (m, n)]
+            ws = [np.full(s, 1.0 / s) for s in (m, n)]
+        elif kind == 3:
+            pts = [grid, grid[rng.permutation(len(grid))]]
+            ws = [np.full(len(grid), 1.0 / len(grid))] * 2
+        else:
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            pts = [np.arange(s)[:, None] * u for s in (m, n)]
+            pts[1] = pts[1] + 0.25 * u
+            ws = [np.full(s, 1.0 / s) for s in (m, n)]
+        yield tuple(Measure(tuple(map(tuple, p)), tuple(w)) for p, w in zip(pts, ws))
+
+
+def test_pivot_sequence_is_pinned():
+    # the digest fixes every value and plan entry bit for bit, so a change of
+    # pivot rule, tie-break or dual arithmetic shows; it was taken from an
+    # earlier solver that rebuilt its basis tree on every pivot
+    digest = hashlib.sha256()
+    for mu, nu in pinned_instances():
+        value, plan = wasserstein1(mu, nu)
+        digest.update(repr((value, plan.entries)).encode())
+    assert digest.hexdigest() == "d5500115001cabafea5114002970abf8c389c28d93a19db5cc2d3d9d1af92c60"
+
+
 def test_oracle_size_limit():
     rng = np.random.default_rng(4)
     mu = random_measure(rng, max_atoms=5, dim=1)
@@ -173,7 +236,7 @@ def test_translation_invariance():
 
 def test_degenerate_instances_terminate():
     # uniform weights on collinear equispaced points: heavily degenerate
-    for n in (4, 8, 16):
+    for n in (4, 8, 16, 32, 64):
         pts = tuple((float(i),) for i in range(n))
         w = tuple([1.0 / n] * n)
         mu = Measure(pts, w)
@@ -196,7 +259,7 @@ def test_plan_marginals_checked():
     _, plan = wasserstein1(mu, nu)
     with pytest.raises(DimensionMismatch):
         plan_cost(plan, nu, mu)  # transposed shape rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         # right shape, wrong marginals
         other = Measure(((0.0,), (1.0,)), (0.25, 0.75))
         plan_cost(plan, other, nu)
@@ -214,3 +277,6 @@ def test_measure_text_round_trip():
     assert parsed.weights == (0.5, 0.5)
     with pytest.raises(ValueError):
         parse_measure_text("0.5 0 0\n0.5 1\n")  # ragged coordinates
+    for bad in ("0.5 0\n0.5 x\n", "0.5\n", "# nothing\n", "0.9 0\n"):
+        with pytest.raises(InvalidInput):
+            parse_measure_text(bad)
