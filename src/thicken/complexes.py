@@ -71,11 +71,11 @@ class ComplexSpec:
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
+            raise InvalidInput(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+            raise InvalidInput(f"scale must be positive and finite, got {self.scale}")
         if self.flavor == "cech-intrinsic" and self.shape is None:
-            raise ValueError("cech-intrinsic requires a shape")
+            raise InvalidInput("cech-intrinsic requires a shape")
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,13 @@ def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
     return math.sqrt((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
 
 
-def _band2(threshold: float, ctx: GeomContext) -> float:
-    """Twice the ambiguity band: a value this far from the threshold is
-    decided by a plain comparison, as threshold_compare would decide it."""
-    return 2.0 * ctx.eps_geo * max(1.0, abs(threshold))
-
-
 def is_vr_simplex(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
     """Diameter within scale, strictness-aware."""
     if spec.flavor != "vr":
-        raise ValueError(f"is_vr_simplex needs flavor 'vr', got {spec.flavor!r}")
+        raise InvalidInput(f"is_vr_simplex needs flavor 'vr', got {spec.flavor!r}")
     pts = _vertices(s)
     diam = math.sqrt(_square_distances(pts).max()) if pts.shape[0] > 1 else 0.0
-    band2 = _band2(spec.scale, ctx)
+    band2 = 2.0 * ctx.band(spec.scale)
     if diam <= spec.scale - band2:
         return True
     if diam >= spec.scale + band2:
@@ -199,10 +193,10 @@ def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX
     distance from the centroid (above). The ball itself is computed only
     when they straddle the threshold."""
     if spec.flavor != "cech-ambient":
-        raise ValueError(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
+        raise InvalidInput(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
     pts = _check_ball_dim(_vertices(s))
     half = spec.scale / 2.0
-    band2 = _band2(half, ctx)
+    band2 = 2.0 * ctx.band(half)
     if pts.shape[0] > 1:
         d2 = _square_distances(pts)
         if math.sqrt(d2.max(axis=1).min()) <= half - band2:
@@ -217,34 +211,40 @@ def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX
     return threshold_compare(ball.radius, half, spec.strict, ctx)
 
 
+def intrinsic_cover(verts: np.ndarray, centers: np.ndarray, shape, half: float,
+                    ctx: GeomContext = DEFAULT_CTX) -> float:
+    """Least largest distance from an on-shape center to the rows of `verts`,
+    inf when there is no center. The centers are the rows of `centers` and,
+    unless those already cover within half - 2 * ctx.band(half), which decides
+    the cover against `half`, the shape projection of the ambient
+    smallest-ball center where that projection is defined."""
+    cover = cover_radius(centers, verts)
+    if cover <= half - 2.0 * ctx.band(half):
+        return cover
+    try:
+        center = project(shape, np.asarray(min_enclosing_ball(verts).center), ctx)
+        cover = min(cover, max_row_norm(center - verts))
+    except MedialAxisProximity:
+        pass
+    return cover
+
+
 def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence,
                               ctx: GeomContext = DEFAULT_CTX) -> bool:
     """Some on-shape candidate center covers all vertices within scale/2.
 
     Candidates are the provided witnesses plus the shape projection of the
-    ambient smallest-ball center when that projection is defined. This is a
-    finite under-approximation of the existential over the whole shape; use
-    dense witness sets for tight answers. A witness cover clearly below the
-    threshold answers before the ball and its projection are computed.
+    ambient smallest-ball center (see intrinsic_cover). This is a finite
+    under-approximation of the existential over the whole shape; use dense
+    witness sets for tight answers.
     """
     if spec.flavor != "cech-intrinsic":
-        raise ValueError(f"is_cech_simplex_intrinsic needs flavor 'cech-intrinsic', got {spec.flavor!r}")
+        raise InvalidInput(f"is_cech_simplex_intrinsic needs flavor 'cech-intrinsic', got {spec.flavor!r}")
     verts = _check_ball_dim(_vertices(s))
-    half = spec.scale / 2.0
-    cover = math.inf
-    if len(witnesses) > 0:
-        cover = cover_radius(as_points(witnesses, dim=verts.shape[1]), verts)
-        if cover <= half - _band2(half, ctx):
-            return True
-    ball = min_enclosing_ball(verts)
-    try:
-        center = project(spec.shape, np.asarray(ball.center))
-        cover = min(cover, max_row_norm(center - verts))
-    except MedialAxisProximity:
-        pass
-    if cover == math.inf:
-        return False
-    return threshold_compare(cover, half, spec.strict, ctx)
+    n, half = verts.shape[1], spec.scale / 2.0
+    centers = as_points(witnesses, dim=n) if len(witnesses) > 0 else np.empty((0, n))
+    cover = intrinsic_cover(verts, centers, spec.shape, half, ctx)
+    return cover != math.inf and threshold_compare(cover, half, spec.strict, ctx)
 
 
 def is_simplex(s, spec: ComplexSpec, witnesses: Sequence = (),
@@ -284,13 +284,14 @@ def enumerate_skeleton(points: Sequence, spec: ComplexSpec, max_dim: int,
     1-skeleton; Cech flavors test each candidate subset, pruned by the
     Rips 1-skeleton at the same scale (every Cech simplex is one of its
     cliques)."""
-    idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
-    pts = as_points([as_point(p) for p in points])
+    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
     return [Simplex(tuple(map(tuple, pts[list(t)]))) for t in idx_simplices]
 
 
 def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
-                      witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> list:
+                      witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> tuple:
+    """The points as a (m, n) array, and the skeleton's simplices as sorted
+    index tuples."""
     if not (1 <= max_dim <= _MAX_DIM):
         raise SizeLimit(f"max_dim must be in 1..{_MAX_DIM}, got {max_dim}")
     pts = as_points([as_point(p) for p in points])
@@ -302,7 +303,7 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     if pair is not None:
         raise InvalidInput("points %d and %d coincide" % pair)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    band = ctx.eps_geo * max(1.0, abs(spec.scale))
+    band = ctx.band(spec.scale)
 
     if spec.flavor == "vr":
         off = np.triu(np.ones((m, m), dtype=bool), 1)
@@ -312,12 +313,9 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
             i, j = np.argwhere(bad)[0]
             raise AmbiguousPredicate(
                 f"edge ({i},{j}) length {dist[i, j]!r} within eps_geo of scale {spec.scale!r}")
-        if spec.strict:
-            adj = dist < spec.scale
-        else:
-            adj = dist <= spec.scale
+        adj = dist < spec.scale if spec.strict else dist <= spec.scale
         np.fill_diagonal(adj, False)
-        return _cliques(adj, max_dim + 1)
+        return pts, _cliques(adj, max_dim + 1)
 
     # Cech: candidate subsets are cliques of a loose Rips prefilter, which
     # never prunes a true simplex; each candidate runs the real predicate
@@ -325,15 +323,15 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     np.fill_diagonal(adj, False)
     if len(witnesses) > 0:
         witnesses = as_points(witnesses, dim=pts.shape[1])
-    return [t for t in _cliques(adj, max_dim + 1) if is_simplex(pts[list(t)], spec, witnesses, ctx)]
+    return pts, [t for t in _cliques(adj, max_dim + 1)
+                 if is_simplex(pts[list(t)], spec, witnesses, ctx)]
 
 
 def format_skeleton(points: Sequence, spec: ComplexSpec, max_dim: int,
                     witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> str:
     """Plain-text skeleton: header `dim <n> scale <r> flavor <f> strict <0|1>`
     then one simplex per line as space-separated vertex indices."""
-    pts = as_points([as_point(p) for p in points])
-    idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
+    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
     lines = [f"dim {pts.shape[1]} scale {format(spec.scale, '.12g')} "
              f"flavor {spec.flavor} strict {1 if spec.strict else 0}"]
     lines.extend(" ".join(str(i) for i in t) for t in idx_simplices)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousPredicate, DimensionMismatch
+from .errors import AmbiguousPredicate, DimensionMismatch, InvalidInput
 
 __all__ = [
     "GeomContext",
@@ -40,13 +40,26 @@ class GeomContext:
     eps_geo: float = 1e-9
     eps_med: float = 1e-6
 
+    def band(self, threshold: float) -> float:
+        """Half-width eps_geo * max(1, |threshold|) of the ambiguity band: a
+        value farther than this from the threshold is on a trusted side."""
+        return self.eps_geo * max(1.0, abs(threshold))
+
 
 DEFAULT_CTX = GeomContext()
 
 
+def as_floats(x, what: str) -> np.ndarray:
+    """np.asarray(x, dtype=float); non-numbers or ragged rows raise InvalidInput."""
+    try:
+        return np.asarray(x, dtype=float)
+    except ValueError as exc:
+        raise InvalidInput(f"malformed {what}: {exc}") from None
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking dimension."""
-    p = np.asarray(x, dtype=float)
+    p = as_floats(x, "point")
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatch(f"point must be 1-D and nonempty, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -58,7 +71,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 def as_points(xs, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite (k, n) float64 array of row points."""
-    a = np.asarray(xs, dtype=float)
+    a = as_floats(xs, "points")
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] == 0 or a.shape[0] == 0:
@@ -115,12 +128,12 @@ def convex_combination(points, weights) -> np.ndarray:
             f"{pts.shape[0]} points but {w.size} weights"
         )
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise InvalidInput("weights must be finite")
     if np.any(w < -_WEIGHT_ATOL):
-        raise ValueError(f"negative weight {w.min()}")
+        raise InvalidInput(f"negative weight {w.min()}")
     s = float(w.sum())
     if abs(s - 1.0) > 1e-10:
-        raise ValueError(f"weights sum to {s}, expected 1")
+        raise InvalidInput(f"weights sum to {s}, expected 1")
     return w @ pts
 
 
@@ -157,14 +170,14 @@ def threshold_compare(value: float, threshold: float, strict: bool,
     """Decide ``value <= threshold`` (or ``<`` when strict) with a guard band.
 
     Exact float equality answers definitively by strictness. Otherwise a
-    value within eps_geo * max(1, |threshold|) of the threshold raises
+    value within ctx.band(threshold) of the threshold raises
     AmbiguousPredicate: the arithmetic cannot be trusted to pick a side.
     """
     if not np.isfinite(value) or not np.isfinite(threshold):
-        raise ValueError("threshold comparison on non-finite values")
+        raise InvalidInput("threshold comparison on non-finite values")
     if value == threshold:
         return not strict
-    band = ctx.eps_geo * max(1.0, abs(threshold))
+    band = ctx.band(threshold)
     if abs(value - threshold) <= band:
         raise AmbiguousPredicate(
             f"value {value!r} within +/-{band:g} of threshold {threshold!r}"

@@ -16,8 +16,8 @@ from typing import Callable
 
 from .complexes import ComplexSpec, Simplex, is_cech_simplex_ambient
 from .errors import ConfigError, MedialAxisProximity, ThickenError
-from .euclid import convex_combination
-from .retraction import CAMPAIGN_FLAVORS, CSV_COLUMNS, LEMMA_IDS, SUITES, LemmaReport, retract
+from .retraction import (CAMPAIGN_FLAVORS, CSV_COLUMNS, LEMMA_IDS, SUITES, LemmaReport,
+                         below_reach, reach_limit, retract)
 from .shapes import (
     SHAPE_KINDS,
     Circle,
@@ -29,7 +29,7 @@ from .shapes import (
     reach,
     shape_label,
 )
-from .thickening import make_thickening_point
+from .thickening import linear_projection_f, make_thickening_point
 from .transport import Measure
 
 _GLOBAL_KEYS = ("r", "k", "trials", "seed", "strict", "lemmas",
@@ -59,17 +59,16 @@ class CampaignConfig:
             raise ConfigError(f"k must be in 0..6, got {self.k}")
         if self.trials < 0:
             raise ConfigError(f"trials must be >= 0, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         bad = [m for m in self.lemmas if m not in LEMMA_IDS]
         if bad:
             raise ConfigError(f"unknown lemma suites {bad}")
-        if not self.tightness:
-            tau = reach(self.shape)
-            limit = tau * (1.0 - 1e-3)
-            for r in self.rs:
-                if not r < limit:
-                    raise ConfigError(
-                        f"r={r:g} is not below reach*(1-1e-3)={limit:g}; "
-                        "set tightness=1 to probe the boundary")
+        for r in self.rs:
+            if not (self.tightness or below_reach(self.shape, r)):
+                raise ConfigError(
+                    f"r={r:g} is not below reach*(1-1e-3)={reach_limit(self.shape):g}; "
+                    "set tightness=1 to probe the boundary")
 
 
 @dataclass(frozen=True)
@@ -198,19 +197,14 @@ def parse_config(text: str) -> CampaignConfig:
             raise ConfigError(f"lemma suites {outside} are not in flavor {flavor!r}")
         lemmas = requested
 
+    # keys left out take CampaignConfig's defaults
     try:
-        return CampaignConfig(
-            shape=shape,
-            rs=rs,
-            k=int(seen.get("k", "4")),
-            trials=int(seen.get("trials", "1000")),
-            seed=int(seen.get("seed", "42")),
-            strict=_parse_bool("strict", seen.get("strict", "0")),
-            lemmas=lemmas,
-            tightness=_parse_bool("tightness", seen.get("tightness", "0")),
-            out=seen.get("out"),
-            timing=_parse_bool("timing", seen.get("timing", "0")),
-        )
+        fields = {key: int(seen[key]) for key in ("k", "trials", "seed") if key in seen}
+        fields.update((key, _parse_bool(key, seen[key]))
+                      for key in ("strict", "tightness", "timing") if key in seen)
+        if "out" in seen:
+            fields["out"] = seen["out"]
+        return CampaignConfig(shape=shape, rs=rs, lemmas=lemmas, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -226,8 +220,7 @@ def _campaign_reports(config: CampaignConfig) -> list:
     for r in config.rs:
         for lemma in config.lemmas:
             suite = SUITES[lemma]
-            if (config.tightness and suite.needs_reach_gap
-                    and not r < reach(config.shape) * (1.0 - 1e-3)):
+            if config.tightness and suite.needs_reach_gap and not below_reach(config.shape, r):
                 reports.append(LemmaReport(
                     lemma_id=lemma, shape=shape_label(config.shape), r=float(r),
                     k=config.k, trials=0, violations=0, ambiguous=0,
@@ -285,9 +278,9 @@ def s0_tightness_experiment(trials: int = 300, seed: int = 42) -> ExperimentResu
     all_ok &= fact_a
 
     mu = Measure(((-1.0,), (1.0,)), (0.5, 0.5))
-    bary = convex_combination(mu.array(), mu.weight_array())
-    bary_zero = abs(float(bary[0])) <= 1e-15
     tp = make_thickening_point(mu, ComplexSpec("cech-ambient", 2.0, strict=False, shape=shape))
+    bary = linear_projection_f(tp)
+    bary_zero = abs(float(bary[0])) <= 1e-15
     try:
         retract(tp)
         tie_raised = False

@@ -16,10 +16,9 @@ from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .complexes import ComplexSpec, cover_radius, is_simplex, min_enclosing_ball
-from .errors import AmbiguousPredicate, MedialAxisProximity
+from .complexes import ComplexSpec, cover_radius, intrinsic_cover, is_simplex, min_enclosing_ball
+from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
 from .euclid import (DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows, max_row_norm,
                      norm, row_norms)
 from .shapes import (
@@ -56,7 +55,7 @@ class LemmaReport:
 
     def __post_init__(self):
         if self.lemma_id not in LEMMA_IDS:
-            raise ValueError(f"unknown lemma_id {self.lemma_id!r}")
+            raise InvalidInput(f"unknown lemma_id {self.lemma_id!r}")
 
     def csv_fields(self, include_timing: bool = False) -> dict:
         """Column name -> formatted cell, in CSV_COLUMNS order, plus
@@ -91,7 +90,7 @@ def retract(tp: ThickeningPoint, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
     point tie and MedialAxisProximity propagates to the caller."""
     spec = tp.spec
     if spec.shape is None:
-        raise ValueError("retract needs a spec with a shape")
+        raise InvalidInput("retract needs a spec with a shape")
     return project(spec.shape, linear_projection_f(tp), ctx)
 
 
@@ -102,7 +101,7 @@ def homotopy_H(tp: ThickeningPoint, t: float, witnesses=(),
     the retraction point. The result is validated; a failing validation is a
     genuine counterexample and propagates as SimplexViolation."""
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+        raise InvalidInput(f"t must lie in [0, 1], got {t}")
     p = retract(tp, ctx)
     atoms = list(tp.measure.support)
     weights = [t * w for w in tp.measure.weights]
@@ -163,7 +162,8 @@ def _sample_simplex(shape, natoms, spec: ComplexSpec, rng, ctx: GeomContext):
     odd attempts draw companions from the tight patch (radius scale/2, valid
     by the triangle inequality), even attempts from the full patch (radius
     scale) so every valid simplex containing y stays reachable. Returns
-    (points, y, 'ok'|'ambiguous'|'starved')."""
+    (points, y), or None when the attempts run out; an AmbiguousPredicate
+    propagates."""
     intrinsic = spec.flavor == "cech-intrinsic"
     for attempt in range(_MAX_ATTEMPTS):
         y = sample_rng(shape, 1, rng)[0]
@@ -175,14 +175,10 @@ def _sample_simplex(shape, natoms, spec: ComplexSpec, rng, ctx: GeomContext):
             radius = spec.scale if attempt % 2 == 0 else spec.scale / 2
             rest = _patch_points(shape, y, radius, natoms - 1, rng, exclude_center=True)
             pts = None if rest is None else np.concatenate((y[None, :], rest))
-        if pts is None or coincident_pair(pts) is not None:
-            continue
-        try:
-            if is_simplex(pts, spec, y[None, :], ctx):
-                return pts, y, "ok"
-        except AmbiguousPredicate:
-            return None, None, "ambiguous"
-    return None, None, "starved"
+        if (pts is not None and coincident_pair(pts) is None
+                and is_simplex(pts, spec, y[None, :], ctx)):
+            return pts, y
+    return None
 
 
 def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int, ctx: GeomContext) -> int:
@@ -246,6 +242,8 @@ def _pcg_states(seed: int, ts: np.ndarray):
 def _trial_rngs(seed: int, trials: int):
     """Yield for t in range(trials) a generator on the stream of default_rng((seed, t)),
     reseeding one generator, as building each costs more than a typical trial."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32 and trials <= 2**32):
         yield from (np.random.default_rng((seed, t)) for t in range(trials))
         return
@@ -259,39 +257,47 @@ def _trial_rngs(seed: int, trials: int):
 
 
 def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
-    """Run `trial_fn(rng) -> (status, margin, tol)` on the RNG stream
-    (seed, t) of each trial index t and aggregate the outcomes."""
+    """Run `trial_fn(rng)` on the RNG stream (seed, t) of each trial index t
+    and aggregate the outcomes: (margin, tol), None for a starved trial, or
+    an AmbiguousPredicate raised for an ambiguous one."""
     if trials < 0:
-        raise ValueError("trials must be >= 0")
-    ok = amb = starved = viol = 0
+        raise InvalidInput("trials must be >= 0")
+    amb = starved = viol = 0
     worst = -math.inf
     for rng in _trial_rngs(seed, trials):
-        status, margin, tol = trial_fn(rng)
-        if status == "ok":
-            ok += 1
-            if margin > tol:
-                viol += 1
-            if margin > worst:
-                worst = margin
-        elif status == "ambiguous":
+        try:
+            outcome = trial_fn(rng)
+        except AmbiguousPredicate:
             amb += 1
-        else:
+            continue
+        if outcome is None:
             starved += 1
+            continue
+        margin, tol = outcome
+        if margin > tol:
+            viol += 1
+        worst = max(worst, margin)
+    ok = trials - amb - starved
     return LemmaReport(
         lemma_id=lemma_id, shape=shape_label(shape), r=float(r), k=int(k),
         trials=ok + amb, violations=viol, ambiguous=amb,
         worst_margin=worst if ok else math.nan, seed=int(seed), starved=starved)
 
 
-def _tol_for(bound: float, ctx: GeomContext) -> float:
-    return max(ctx.eps_geo, 1e-9 * abs(bound))
+def reach_limit(shape) -> float:
+    """reach * (1 - 1e-3): the scales below it keep a gap to the reach."""
+    return reach(shape) * (1.0 - 1e-3)
 
 
-def _require_scale_below_reach(shape, r: float) -> float:
-    tau = reach(shape)
-    if not r < tau * (1.0 - 1e-3):
-        raise ValueError(f"need r < reach*(1-1e-3) = {tau * (1 - 1e-3):g}, got {r:g}")
-    return tau
+def below_reach(shape, r: float) -> bool:
+    """Whether r keeps the gap to the reach (r < reach_limit) that the
+    checkers needing a unique nearest point (Suite.needs_reach_gap) require."""
+    return r < reach_limit(shape)
+
+
+def _require_scale_below_reach(shape, r: float) -> None:
+    if not below_reach(shape, r):
+        raise InvalidInput(f"need r < reach*(1-1e-3) = {reach_limit(shape):g}, got {r:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +310,7 @@ def check_convex_lemma(shape, r, k, trials, seed, strict=False,
     on-shape generators, a random hull point y, and a random convex set
     (half-space or ball) excluding y, some generator lies outside the set."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidInput("k must be >= 0")
 
     def trial(rng):
         natoms = 1 + int(rng.integers(0, k + 1))
@@ -325,7 +331,7 @@ def check_convex_lemma(shape, r, k, trials, seed, strict=False,
             q = y + (rho + gap) * normal
             margin = rho - max_row_norm(pts - q)
             bound = rho
-        return "ok", margin, _tol_for(bound, ctx)
+        return margin, ctx.band(bound)
 
     return _run_cell("Convex", shape, r, k, trials, seed, trial)
 
@@ -337,18 +343,19 @@ def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin
     against tolerance at r, y being the on-shape point the support was drawn
     around. A margin whose projection lands on the medial axis counts as inf."""
     cap = _max_feasible_atoms(shape, spec, k + 1, ctx)
-    tol = _tol_for(r, ctx)
+    tol = ctx.band(r)
 
     def trial(rng):
         natoms = 1 + int(rng.integers(0, cap))
-        pts, y, status = _sample_simplex(shape, natoms, spec, rng, ctx)
-        if status != "ok":
-            return status, 0.0, 0.0
+        drawn = _sample_simplex(shape, natoms, spec, rng, ctx)
+        if drawn is None:
+            return None
+        pts, y = drawn
         lam = _dirichlet_weights(natoms, rng)
         try:
-            return "ok", margin(pts, lam, y), tol
+            return margin(pts, lam, y), tol
         except MedialAxisProximity:
-            return "ok", math.inf, tol
+            return math.inf, tol
 
     return _run_cell(lemma_id, shape, r, k, trials, seed, trial)
 
@@ -357,7 +364,7 @@ def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False,
                        ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
     """Barycenters of diameter-r supports stay within r of the shape."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise InvalidInput("r must be positive")
     return _simplex_cell("VrTub", shape, r, k, trials, seed,
                          ComplexSpec("vr", r, strict=strict, shape=shape),
                          lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
@@ -382,7 +389,7 @@ def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
     """Any hull point of a support with min-ball radius r lies within r of
     some vertex."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise InvalidInput("r must be positive")
 
     def margin(pts, lam, y):
         return float(row_norms(pts - lam @ pts).min()) - r
@@ -396,7 +403,7 @@ def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
                          ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
     """Barycenters of min-ball-radius-r supports stay within r of the shape."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise InvalidInput("r must be positive")
     return _simplex_cell("CechTub", shape, r, k, trials, seed,
                          ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
                          lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
@@ -408,7 +415,7 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
     one: the augmented support passes the same membership test (non-strict
     form asserted; the margin reports the strict gap)."""
     if flavor not in ("ambient", "intrinsic"):
-        raise ValueError(f"flavor must be ambient or intrinsic, got {flavor!r}")
+        raise InvalidInput(f"flavor must be ambient or intrinsic, got {flavor!r}")
     _require_scale_below_reach(shape, r)
     spec = ComplexSpec("cech-" + flavor, 2.0 * r, strict=strict, shape=shape)
     if flavor == "ambient":
@@ -419,26 +426,17 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
 
     # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
     pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
-    band = ctx.eps_geo * max(1.0, abs(r))
 
     def margin(pts, lam, y):
         p = project(shape, lam @ pts, ctx)
         aug = _augment(pts, p)
-        # least cover over the centers y, p and the pool; a pool point
-        # farther from aug[0] than the cover of y or p cannot win
-        cover = cover_radius(np.stack((y, p)), aug)
+        # candidate centers y, p and the pool; a pool point farther from
+        # aug[0] than the cover of y or p cannot win
+        centers = np.stack((y, p))
+        cover = cover_radius(centers, aug)
         d = pool - aug[0]
         near = pool[(d * d).sum(axis=1) <= cover * cover * (1.0 + 1e-9)]
-        cover = min(cover, cover_radius(near, aug))
-        if cover - r > -2.0 * band:
-            # near or past the threshold: bring in the projected center of
-            # the ambient smallest ball before judging
-            try:
-                center = project(shape, np.asarray(min_enclosing_ball(aug).center), ctx)
-                cover = min(cover, max_row_norm(center - aug))
-            except MedialAxisProximity:
-                pass
-        return cover - r
+        return intrinsic_cover(aug, np.concatenate((centers, near)), shape, r, ctx) - r
 
     return _simplex_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, spec, margin, ctx)
 
@@ -454,6 +452,8 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
     """The open ball of radius reach, tangent at the projection of a tube
     point and centered past it, misses the shape: every point of a dense
     on-shape sample stays at least reach away from the center."""
+    from scipy.spatial import cKDTree  # most of the package's import time, so loaded here
+
     tau = reach(shape)
     fin = finite_points(shape)
     if fin is not None:
@@ -478,9 +478,8 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
             except MedialAxisProximity:
                 continue
             c = p + tau * (x - p) / norm(x - p)
-            margin = tau - float(tree.query(c)[0])
-            return "ok", margin, 1e-6
-        return "starved", 0.0, 0.0
+            return tau - float(tree.query(c)[0]), 1e-6
+        return None
 
     return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, trial)
 
@@ -488,7 +487,8 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
 def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
     """Projection is Lipschitz on the radius-r tube with factor
     reach/(reach - r)."""
-    tau = _require_scale_below_reach(shape, r)
+    _require_scale_below_reach(shape, r)
+    tau = reach(shape)
     factor = tau / (tau - r)
     dim = ambient_dim(shape)
 
@@ -506,9 +506,8 @@ def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
             except MedialAxisProximity:
                 continue
             bound = factor * norm(x - y)
-            margin = norm(px - py) - bound
-            return "ok", margin, _tol_for(bound, ctx)
-        return "starved", 0.0, 0.0
+            return norm(px - py) - bound, ctx.band(bound)
+        return None
 
     return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, trial)
 

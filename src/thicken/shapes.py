@@ -528,9 +528,6 @@ def _flag_ties(grid_pts, tree, pool, tie, sep_lo, gamma, floor):
         for k in (16, 128, 1024):
             k = min(k, pool.shape[0])
             wd, wi = tree.query(block[todo], k=k, workers=-1)
-            if k == 1:
-                wd = wd[:, None]
-                wi = wi[:, None]
             if b_d1 is None:
                 b_d1 = wd[:, 0].copy()
                 eligible = b_d1 >= floor
@@ -560,7 +557,7 @@ def estimate_reach(shape, grid_density: int) -> float:
     if n > 3:
         raise DimensionMismatch(f"estimate_reach supports ambient dim <= 3, got {n}")
     if grid_density < 2:
-        raise ValueError("grid_density must be >= 2")
+        raise InvalidInput("grid_density must be >= 2")
 
     box = shape.bounding_box()
     center = 0.5 * (box[0] + box[1])
@@ -663,5 +660,5 @@ def estimate_reach(shape, grid_density: int) -> float:
             h *= 1.5
 
     if not math.isfinite(best):
-        raise RuntimeError("no medial-axis candidates found; increase grid_density")
+        raise InvalidInput("no medial-axis candidates found; increase grid_density")
     return best

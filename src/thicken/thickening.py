@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ComplexSpec, Simplex, is_simplex, min_enclosing_ball
-from .errors import SimplexViolation, SpecMismatch
-from .euclid import DEFAULT_CTX, GeomContext, as_point, convex_combination, diameter
+from .complexes import ComplexSpec, is_simplex, min_enclosing_ball
+from .errors import InvalidInput, SimplexViolation, SpecMismatch
+from .euclid import DEFAULT_CTX, GeomContext, as_point, diameter
 from .shapes import distance_to_shape
 from .transport import Measure, wasserstein1
 
@@ -29,9 +29,6 @@ class ThickeningPoint:
             raise TypeError("measure must be a Measure")
         if not isinstance(self.spec, ComplexSpec):
             raise TypeError("spec must be a ComplexSpec")
-
-    def support_simplex(self) -> Simplex:
-        return Simplex(self.measure.support)
 
 
 def _failure_report(pts: np.ndarray, spec: ComplexSpec, witnesses) -> str:
@@ -58,8 +55,9 @@ def make_thickening_point(measure: Measure, spec: ComplexSpec, witnesses=(),
 
 
 def linear_projection_f(tp: ThickeningPoint) -> np.ndarray:
-    """Euclidean barycenter of the measure: sum of weight times atom."""
-    return convex_combination(tp.measure.array(), tp.measure.weight_array())
+    """Euclidean barycenter of the measure: sum of weight times atom (the
+    Measure has validated its weights)."""
+    return tp.measure.weight_array() @ tp.measure.array()
 
 
 def inclusion_iota(x, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> ThickeningPoint:
@@ -68,8 +66,8 @@ def inclusion_iota(x, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> Thic
     p = as_point(x)
     if spec.shape is not None:
         gap = distance_to_shape(spec.shape, p)
-        if gap > ctx.eps_geo * max(1.0, float(np.linalg.norm(p))):
-            raise ValueError(f"point is off-shape by {gap:.3g}, cannot include")
+        if gap > ctx.band(float(np.linalg.norm(p))):
+            raise InvalidInput(f"point is off-shape by {gap:.3g}, cannot include")
     measure = Measure((tuple(map(float, p)),), (1.0,))
     return make_thickening_point(measure, spec, witnesses=(tuple(map(float, p)),), ctx=ctx)
 

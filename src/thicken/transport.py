@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, SizeLimit
-from .euclid import as_point, as_points, coincident_pair
+from .euclid import as_floats, as_point, as_points, coincident_pair
 
 _MAX_ATOMS = 64
 _ZERO_WEIGHT = 1e-14
@@ -40,7 +40,7 @@ class Measure:
         if len(self.support) == 0:
             raise InvalidInput("measure needs at least one atom")
         pts = as_points([as_point(p) for p in self.support])
-        w = np.asarray(self.weights, dtype=float)
+        w = as_floats(self.weights, "weights")
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise InvalidInput("weights must match support length")
         if not np.all(np.isfinite(w)):

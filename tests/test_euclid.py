@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from thicken import AmbiguousPredicate, DimensionMismatch, GeomContext
+from thicken import AmbiguousPredicate, DimensionMismatch, GeomContext, InvalidInput
 from thicken.euclid import (
     as_point,
     as_points,
@@ -37,6 +37,10 @@ def test_as_points_promotes_single_point():
         as_points(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatch):
         as_points([[1.0], [2.0]], dim=2)
+    with pytest.raises(InvalidInput, match="malformed points"):
+        as_points([[0.0, 0.0], [1.0]])
+    with pytest.raises(InvalidInput, match="malformed point"):
+        as_point(["x", 1.0])
 
 
 def test_distance_and_diameter_small_cases():

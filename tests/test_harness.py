@@ -67,6 +67,7 @@ def test_parse_config_all_shape_kinds():
     "shape=circle radius=1\nr=2.0",             # r >= reach, no tightness
     "shape=circle radius=1\nr=0.5\nk=9",        # k out of range
     "shape=circle radius=1\nr=0.5\ntrials=-1",  # negative trials
+    "shape=circle radius=1\nr=0.5\nseed=-1",    # negative seed
     "shape=circle radius=1\nr=0.5\nstrict=maybe",
     "shape=circle radius=1\nr=0.5\nlemmas=NotALemma",
     "shape=circle radius=1\nr=0.5\nflavor=quantum",
@@ -221,7 +222,8 @@ def test_cli_rejects_bad_input_files(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("1 0\n")
     bad = tmp_path / "bad.txt"
-    for text in ("0.9 0\n", "0.5 0\n0.5 x\n", "0.5 0\n0.5 0\n", "# nothing\n"):
+    for text in ("0.9 0\n", "0.5 0\n0.5 x\n", "0.5 0\n0.5 0\n", "# nothing\n",
+                 "0.5 0 0\n0.5 1\n"):
         bad.write_text(text)
         assert cli.main(["wasserstein", str(bad), str(good)]) in (1, 2)
         assert cli.main(["wasserstein", str(good), str(bad)]) in (1, 2)
@@ -229,6 +231,9 @@ def test_cli_rejects_bad_input_files(tmp_path, capsys):
     bad.write_text("0 0\n0 0\n1 0\n")
     assert cli.main(["skeleton", str(bad), "--scale", "1.5"]) in (1, 2)
     assert "points 0 and 1 coincide" in capsys.readouterr().err
+    bad.write_text("0 0\n1\n")
+    assert cli.main(["skeleton", str(bad), "--scale", "1.5"]) in (1, 2)
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_cli_project_exit_codes():

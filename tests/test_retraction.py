@@ -9,6 +9,7 @@ from thicken import (
     ComplexSpec,
     Ellipse,
     FinitePointSet,
+    InvalidInput,
     LemmaReport,
     Measure,
     MedialAxisProximity,
@@ -282,7 +283,7 @@ def test_trial_streams_match_default_rng():
             assert rng.bit_generator.state == ref.bit_generator.state
             assert rng.integers(0, 7, size=3).tolist() == ref.integers(0, 7, size=3).tolist()
             assert rng.normal() == ref.normal()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
         next(_trial_rngs(-1, 3))
     with pytest.raises(TypeError):
         next(_trial_rngs(1.5, 3))

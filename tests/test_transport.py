@@ -64,6 +64,10 @@ def test_measure_validation():
         Measure(((0.0,), (0.0,)), (0.5, 0.5))  # duplicate support
     with pytest.raises(ValueError, match="support atoms 0 and 1 coincide"):
         Measure(((1.0, 0.0), (1.0 + 1e-13, 0.0)), (0.5, 0.5))  # within 1e-12
+    with pytest.raises(InvalidInput, match="malformed weights"):
+        Measure(((0.0,),), ("x",))
+    with pytest.raises(InvalidInput, match="malformed points"):
+        Measure(((0.0, 0.0), (1.0,)), (0.5, 0.5))  # rows of unequal length
     with pytest.raises(SizeLimit):
         Measure(tuple((float(i),) for i in range(65)), tuple([1.0 / 65] * 65))
     # tiny weights are dropped, the rest renormalized
