@@ -21,7 +21,7 @@ from .errors import (
     ThickenError,
     UnsupportedShape,
 )
-from .euclid import DEFAULT_CTX, GeomContext, convex_combination, diameter, distance
+from .euclid import DEFAULT_CTX, GeomContext, diameter
 from .shapes import (
     Circle,
     Ellipse,
@@ -54,7 +54,6 @@ from .complexes import (
 from .transport import (
     Measure,
     TransportPlan,
-    format_measure_text,
     oracle_wasserstein1,
     parse_measure_text,
     plan_cost,
@@ -98,14 +97,14 @@ __all__ = [
     "AmbiguousPredicate", "ConfigError", "DimensionMismatch", "InvalidInput",
     "MedialAxisProximity", "SimplexViolation", "SizeLimit", "SpecMismatch",
     "ThickenError", "UnsupportedShape",
-    "DEFAULT_CTX", "GeomContext", "convex_combination", "diameter", "distance",
+    "DEFAULT_CTX", "GeomContext", "diameter",
     "Circle", "Ellipse", "FinitePointSet", "Shape", "Sphere", "Torus",
     "ZeroSphere", "ambient_dim", "distance_to_shape", "estimate_reach",
     "project", "reach", "sample", "sample_rng", "shape_label",
     "FLAVORS", "ComplexSpec", "MinBallResult", "Simplex", "enumerate_skeleton",
     "format_skeleton", "is_cech_simplex_ambient", "is_cech_simplex_intrinsic",
     "is_vr_simplex", "min_enclosing_ball",
-    "Measure", "TransportPlan", "format_measure_text", "oracle_wasserstein1",
+    "Measure", "TransportPlan", "oracle_wasserstein1",
     "parse_measure_text", "plan_cost", "wasserstein1",
     "ThickeningPoint", "inclusion_iota", "linear_projection_f",
     "make_thickening_point", "thickening_distance",

@@ -1,4 +1,4 @@
-"""Euclidean primitives: points, distances, diameters, convex data.
+"""Euclidean primitives: points, norms, diameters, coincidence, thresholds.
 
 Points are plain float64 numpy arrays. Every public operation validates
 finiteness and dimension agreement. Threshold comparisons never hard-code
@@ -19,9 +19,7 @@ __all__ = [
     "DEFAULT_CTX",
     "as_point",
     "as_points",
-    "distance",
     "diameter",
-    "convex_combination",
     "coincident_rows",
     "coincident_pair",
     "threshold_compare",
@@ -99,13 +97,6 @@ def max_row_norm(d: np.ndarray) -> float:
     return math.sqrt((d * d).sum(axis=1).max())
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    pa = as_point(a)
-    pb = as_point(b, dim=pa.size)
-    return float(np.linalg.norm(pa - pb))
-
-
 def diameter(points) -> float:
     """Max pairwise distance of a point set; 0.0 for a singleton."""
     pts = as_points(points)
@@ -113,28 +104,6 @@ def diameter(points) -> float:
         return 0.0
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff * diff).sum(axis=2).max()))
-
-
-# slack on weight validation; weights come from user arithmetic
-_WEIGHT_ATOL = 1e-12
-
-
-def convex_combination(points, weights) -> np.ndarray:
-    """Weighted average of row points; weights must be a convex combination."""
-    pts = as_points(points)
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != pts.shape[0]:
-        raise DimensionMismatch(
-            f"{pts.shape[0]} points but {w.size} weights"
-        )
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("weights must be finite")
-    if np.any(w < -_WEIGHT_ATOL):
-        raise InvalidInput(f"negative weight {w.min()}")
-    s = float(w.sum())
-    if abs(s - 1.0) > 1e-10:
-        raise InvalidInput(f"weights sum to {s}, expected 1")
-    return w @ pts
 
 
 # per-coordinate distance below which two points count as one

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -55,6 +56,9 @@ class CampaignConfig:
         for r in self.rs:
             if not (isinstance(r, float) and math.isfinite(r) and r > 0):
                 raise ConfigError(f"scale r must be positive and finite, got {r!r}")
+        for name in ("k", "trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.k <= 6:
             raise ConfigError(f"k must be in 0..6, got {self.k}")
         if self.trials < 0:

@@ -1,10 +1,13 @@
 """Exact 1-Wasserstein distance between finitely supported measures.
 
-The solver runs the transportation variant of the network simplex on the
-complete bipartite graph between the two supports. Its basis is a spanning
-tree kept from pivot to pivot (parent, depth and node potentials, as in
-Bonneel et al. 2011): pricing is one vectorized pass over the reduced costs,
-the entering arc is the most negative with lexicographic ties, with a Bland
+A Measure validates its atoms and weights in one pass and keeps them as
+read-only float arrays, which array() and weight_array() return without
+copying. The solver runs the transportation variant of the network simplex
+on the complete bipartite graph between the two supports. Its basis is a
+spanning tree kept from pivot to pivot (parent, depth and node potentials,
+as in Bonneel et al. 2011): pricing is one pass over the reduced costs, on
+Python lists up to _LIST_PRICING_CELLS cells and vectorized above, the
+entering arc is the most negative with lexicographic ties, with a Bland
 fallback after degenerate streaks, and each pivot re-hangs only the subtree
 that the leaving arc cuts off. A brute-force oracle enumerates every
 spanning-tree basis of tiny instances for independent verification.
@@ -24,6 +27,8 @@ from .euclid import as_floats, as_point, as_points, coincident_pair
 _MAX_ATOMS = 64
 _ZERO_WEIGHT = 1e-14
 _RENORM_DRIFT = 1e-10
+# largest m * n whose reduced costs are priced on Python lists, not numpy
+_LIST_PRICING_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -39,16 +44,24 @@ class Measure:
     def __post_init__(self):
         if len(self.support) == 0:
             raise InvalidInput("measure needs at least one atom")
-        pts = as_points([as_point(p) for p in self.support])
+        try:
+            pts = np.asarray(self.support, dtype=float)
+        except ValueError:
+            # ragged or non-numeric: the per-atom checks name the first bad atom
+            pts = as_points([as_point(p) for p in self.support])
+        if pts.ndim != 2 or pts.shape[1] == 0:
+            raise DimensionMismatch(f"point must be 1-D and nonempty, got shape {pts.shape[1:]}")
+        if not np.isfinite(pts).all():
+            raise DimensionMismatch("point has non-finite coordinates")
         w = as_floats(self.weights, "weights")
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise InvalidInput("weights must match support length")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise InvalidInput("weights must be finite")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidInput(f"negative weight {w.min()}")
         keep = w > _ZERO_WEIGHT
-        pts, w = pts[keep], w[keep]
+        pts, w = pts[keep], w[keep]  # boolean indexing copies, so the caller's array is not kept
         if pts.shape[0] == 0:
             raise InvalidInput("measure needs at least one atom with positive weight")
         if pts.shape[0] > _MAX_ATOMS:
@@ -60,14 +73,19 @@ class Measure:
         pair = coincident_pair(pts)
         if pair is not None:
             raise InvalidInput("support atoms %d and %d coincide" % pair)
-        object.__setattr__(self, "support", tuple(tuple(map(float, p)) for p in pts))
-        object.__setattr__(self, "weights", tuple(map(float, w)))
+        pts.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "support", tuple(map(tuple, pts.tolist())))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+        object.__setattr__(self, "_points", pts)
+        object.__setattr__(self, "_weights", w)
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=float)
+        """The atoms as a read-only (k, n) float array, built once."""
+        return self._points
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        """The weights as a read-only float array, built once."""
+        return self._weights
 
     @property
     def dim(self) -> int:
@@ -82,15 +100,11 @@ class TransportPlan:
         return np.asarray(self.entries, dtype=float)
 
 
-def _plan_entries(P: np.ndarray) -> tuple:
-    return tuple(tuple(map(float, row)) for row in P)
-
-
 def _cost_matrix(mu: Measure, nu: Measure) -> np.ndarray:
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"measure dimensions differ: {mu.dim} vs {nu.dim}")
-    A, B = mu.array(), nu.array()
-    return np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+    d = mu.array()[:, None, :] - nu.array()[None, :, :]
+    return np.sqrt((d * d).sum(axis=2))  # np.linalg.norm(d, axis=2) without its dispatch
 
 
 def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:
@@ -110,6 +124,33 @@ def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:
     return float(np.sum(P * _cost_matrix(mu, nu)))
 
 
+def _entering_arc(C, rows, pot, basic, tol, bland):
+    """The entering arc as its flat cell i * n + j, by the reduced costs
+    (C_ij - pot[i]) - pot[m + j], zero on the `basic` cells: the most
+    negative, first in row-major order, or with `bland` the first below -tol;
+    None if there is none. Up to _LIST_PRICING_CELLS cells, where numpy's
+    fixed cost per call would dominate, it prices on Python lists, with
+    numpy's floats and tie-break."""
+    m, n = C.shape
+    if m * n <= _LIST_PRICING_CELLS:
+        cols = pot[m:]
+        reduced = [(c - u) - v for row, u in zip(rows, pot) for c, v in zip(row, cols)]
+        for k in basic:
+            reduced[k] = 0.0
+        if bland:
+            return next((k for k, r in enumerate(reduced) if r < -tol), None)
+        best = min(reduced)  # min and index both keep the first occurrence
+        return reduced.index(best) if best < -tol else None
+    duals = np.array(pot)
+    reduced = (C - duals[:m, None] - duals[None, m:]).ravel()
+    reduced[basic] = 0.0
+    if bland:
+        neg = np.flatnonzero(reduced < -tol)
+        return int(neg[0]) if neg.size else None
+    k = int(np.argmin(reduced))  # ties resolve to the lowest index
+    return k if reduced[k] < -tol else None
+
+
 def wasserstein1(mu: Measure, nu: Measure) -> tuple:
     """Exact optimum of the transportation linear program and an optimal plan.
 
@@ -118,24 +159,25 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
     node's potential `pot` set from its parent as C_ij - pot[parent]. A pivot
     reads its cycle off the two climbs to the common ancestor, then re-hangs
     only the subtree that the leaving arc cut off under the entering arc.
+    Flows and the basic cells are flat over the cells i * n + j.
     Raises SizeLimit past 20000 pivots."""
     C = _cost_matrix(mu, nu)
     a, b = mu.weight_array(), nu.weight_array()
     m, n = C.shape
     if m == 1 or n == 1:
         P = np.outer(a, b)
-        return float(np.sum(P * C)), TransportPlan(_plan_entries(P))
+        return float(np.sum(P * C)), TransportPlan(tuple(map(tuple, P.tolist())))
 
     # northwest-corner initial basic feasible solution, as a tree on m + n nodes
-    F = [[0.0] * n for _ in range(m)]
-    basis = np.zeros((m, n), dtype=bool)
+    F = [0.0] * (m * n)
+    basic = []
     adj = [set() for _ in range(m + n)]
     ra, rb = a.tolist(), b.tolist()
     i = j = 0
     while True:
         q = min(ra[i], rb[j])
-        F[i][j] = q
-        basis[i, j] = True
+        F[i * n + j] = q
+        basic.append(i * n + j)
         adj[i].add(m + j)
         adj[m + j].add(i)
         ra[i] -= q
@@ -148,10 +190,8 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
             j += 1
 
     # node_cost[x][y] is the cost of the arc between nodes x and y
-    node_cost = [[0.0] * m + row for row in C.tolist()] + C.T.tolist()
-
-    def arc(x, y):
-        return (x, y - m) if x < m else (y, x - m)
+    rows = C.tolist()
+    node_cost = [[0.0] * m + row for row in rows] + C.T.tolist()
 
     def hang(x, up):
         """Hang node x under `up`, and x's side of the tree under x; sets
@@ -174,19 +214,11 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
     tol = 1e-13 * max(1.0, float(C.max()))
     degenerate_streak = 0
     for _ in range(20000):
-        duals = np.array(pot)
-        reduced = C - duals[:m, None] - duals[None, m:]
-        reduced[basis] = 0.0
-        if degenerate_streak < 50:
-            i0, j0 = divmod(int(np.argmin(reduced)), n)  # ties resolve to the lowest index
-            if reduced[i0, j0] >= -tol:
-                break
-        else:
-            # Bland: first improving arc in lexicographic order
-            neg = np.argwhere(reduced < -tol)
-            if neg.size == 0:
-                break
-            i0, j0 = map(int, neg[0])
+        # Bland's rule after 50 degenerate pivots in a row
+        enter = _entering_arc(C, rows, pot, basic, tol, degenerate_streak >= 50)
+        if enter is None:
+            break
+        i0, j0 = divmod(enter, n)
         # cycle: (i0, j0), then the tree path from row i0 to column j0, each
         # path arc named by its lower node; signs alternate +,-,+,...
         x, y, ups, downs = i0, m + j0, [], []
@@ -201,14 +233,18 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
             downs.append(y)
             x, y = parent[x], parent[y]
         kids = ups + downs[::-1]
-        cells = [(i0, j0)] + [arc(k, parent[k]) for k in kids]
-        theta = min(F[i][j] for i, j in cells[1::2])
-        leave, at = min((c, k) for k, c in enumerate(cells) if k % 2 and F[c[0]][c[1]] <= theta)
-        for k, (i, j) in enumerate(cells):
-            F[i][j] += theta if k % 2 == 0 else -theta
-        F[leave[0]][leave[1]] = 0.0
-        basis[leave] = False
-        basis[i0, j0] = True
+        cells = [enter] + [k * n + parent[k] - m if k < m else parent[k] * n + k - m for k in kids]
+        minus = cells[1::2]
+        theta = min([F[c] for c in minus])
+        # ties leave by the lowest cell, i.e. the lexicographically lowest (i, j)
+        leave = min([c for c in minus if F[c] <= theta])
+        at = cells.index(leave)
+        for c in cells[::2]:
+            F[c] += theta
+        for c in minus:
+            F[c] -= theta
+        F[leave] = 0.0
+        basic[basic.index(leave)] = enter
         cut = kids[at - 1]
         adj[cut].discard(parent[cut])
         adj[parent[cut]].discard(cut)
@@ -223,9 +259,9 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
     else:
         raise SizeLimit("network simplex exceeded its 20000-pivot cap")
 
-    F = np.array(F)
+    F = np.array(F).reshape(m, n)
     F[F < 0] = 0.0
-    return float(np.sum(F * C)), TransportPlan(_plan_entries(F))
+    return float(np.sum(F * C)), TransportPlan(tuple(map(tuple, F.tolist())))
 
 
 @lru_cache(maxsize=32)
@@ -324,11 +360,3 @@ def parse_measure_text(text: str) -> Measure:
     if not support:
         raise InvalidInput("no atoms found")
     return Measure(tuple(support), tuple(weights))
-
-
-def format_measure_text(measure: Measure) -> str:
-    lines = []
-    for w, p in zip(measure.weights, measure.support):
-        coords = " ".join(format(c, ".17g") for c in p)
-        lines.append(f"{format(w, '.17g')} {coords}")
-    return "\n".join(lines) + "\n"

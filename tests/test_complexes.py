@@ -29,7 +29,7 @@ from thicken import (
     min_enclosing_ball,
     sample,
 )
-from thicken.euclid import diameter, distance
+from thicken.euclid import diameter
 
 
 def oracle_min_ball(pts: np.ndarray) -> tuple:
@@ -208,7 +208,7 @@ def test_vr_matches_pairwise_scan_on_random_subsets():
         pts = rng.normal(size=(int(rng.integers(2, 6)), 2)) * 2
         scale = float(rng.random() * 3 + 0.1)
         expected = max(
-            distance(a, b) for a, b in combinations(pts, 2)
+            float(np.linalg.norm(a - b)) for a, b in combinations(pts, 2)
         ) <= scale
         spec = ComplexSpec("vr", scale)
         try:

@@ -1,4 +1,4 @@
-"""Euclidean primitives: coercion, distances, convex data, threshold bands."""
+"""Euclidean primitives: coercion, norms, diameters, coincidence, threshold bands."""
 import numpy as np
 import pytest
 
@@ -8,9 +8,7 @@ from thicken.euclid import (
     as_points,
     coincident_pair,
     coincident_rows,
-    convex_combination,
     diameter,
-    distance,
     max_row_norm,
     norm,
     row_norms,
@@ -44,9 +42,9 @@ def test_as_points_promotes_single_point():
 
 
 def test_distance_and_diameter_small_cases():
-    assert distance([0, 0], [3, 4]) == 5.0
-    assert distance([1, 1], [1, 1]) == 0.0
-    assert distance([0, 0, 0], [1, 1, 1]) == pytest.approx(np.sqrt(3.0), abs=1e-15)
+    # a pair's diameter is its distance
+    assert diameter([[0, 0], [3, 4]]) == 5.0
+    assert diameter([[0, 0, 0], [1, 1, 1]]) == pytest.approx(np.sqrt(3.0), abs=1e-15)
     assert diameter([[1.0, 1.0]]) == 0.0
     assert diameter([[0, 0], [1, 0], [0, 1]]) == pytest.approx(np.sqrt(2.0), abs=1e-15)
     # unit square: diagonal wins
@@ -70,36 +68,7 @@ def test_triangle_inequality_randomized():
     rng = np.random.default_rng(2)
     for _ in range(200):
         a, b, c = rng.normal(size=(3, int(rng.integers(1, 5))))
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
-
-
-def test_convex_combination_validates_weights():
-    pts = [[0.0, 0.0], [2.0, 0.0]]
-    assert np.allclose(convex_combination(pts, [0.5, 0.5]), [1.0, 0.0])
-    assert np.allclose(convex_combination([[1.0, 1.0]], [1.0]), [1.0, 1.0])
-    assert np.allclose(convex_combination([[0, 0], [1, 0], [0, 1]], [1 / 3] * 3),
-                       [1 / 3, 1 / 3])
-    with pytest.raises(ValueError):
-        convex_combination(pts, [0.7, 0.7])
-    with pytest.raises(ValueError):
-        convex_combination(pts, [-0.2, 1.2])
-    with pytest.raises(DimensionMismatch):
-        convex_combination(pts, [1.0])
-
-
-def test_convex_combination_stays_in_hull():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        pts = rng.normal(size=(rng.integers(1, 7), 3))
-        w = rng.random(pts.shape[0])
-        w /= w.sum()
-        y = convex_combination(pts, w)
-        # y is within the bounding box of its generators, coordinatewise,
-        # and within the generator diameter of every generator
-        assert np.all(y >= pts.min(axis=0) - 1e-12)
-        assert np.all(y <= pts.max(axis=0) + 1e-12)
-        dia = diameter(pts)
-        assert all(distance(y, p) <= dia + 1e-12 for p in pts)
+        assert norm(a - c) <= norm(a - b) + norm(b - c) + 1e-12
 
 
 def test_hull_point_outside_convex_set_forces_a_generator_outside():
@@ -110,7 +79,7 @@ def test_hull_point_outside_convex_set_forces_a_generator_outside():
         pts = rng.normal(size=(int(rng.integers(1, 6)), 2))
         w = rng.random(pts.shape[0])
         w /= w.sum()
-        y = convex_combination(pts, w)
+        y = w @ pts
         if rng.random() < 0.5:
             # closed ball
             center, radius = rng.normal(size=2), rng.random() * 2

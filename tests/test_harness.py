@@ -68,6 +68,9 @@ def test_parse_config_all_shape_kinds():
     "shape=circle radius=1\nr=0.5\nk=9",        # k out of range
     "shape=circle radius=1\nr=0.5\ntrials=-1",  # negative trials
     "shape=circle radius=1\nr=0.5\nseed=-1",    # negative seed
+    "shape=circle radius=1\nr=0.5\nseed=1.5",   # non-integral counts
+    "shape=circle radius=1\nr=0.5\nk=2.5",
+    "shape=circle radius=1\nr=0.5\ntrials=2.5",
     "shape=circle radius=1\nr=0.5\nstrict=maybe",
     "shape=circle radius=1\nr=0.5\nlemmas=NotALemma",
     "shape=circle radius=1\nr=0.5\nflavor=quantum",
@@ -77,6 +80,13 @@ def test_parse_config_all_shape_kinds():
 def test_parse_config_rejections(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("field", ({"seed": 1.5}, {"k": 2.5}, {"trials": 2.5}))
+def test_campaign_config_rejects_non_integral_counts(field):
+    # the config parser makes ints, but library callers can pass floats
+    with pytest.raises(ConfigError, match="must be an integer"):
+        CampaignConfig(shape=Circle(1.0), rs=(0.5,), lemmas=("VrTub",), **field)
 
 
 def test_tightness_mode_allows_boundary_and_skips_reach_gap_suites():

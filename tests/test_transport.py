@@ -17,12 +17,12 @@ from thicken import (
     Measure,
     SizeLimit,
     TransportPlan,
-    format_measure_text,
     oracle_wasserstein1,
     parse_measure_text,
     plan_cost,
     wasserstein1,
 )
+from thicken.transport import _LIST_PRICING_CELLS
 
 
 def random_measure(rng, max_atoms=4, dim=2, grid=None) -> Measure:
@@ -68,12 +68,62 @@ def test_measure_validation():
         Measure(((0.0,),), ("x",))
     with pytest.raises(InvalidInput, match="malformed points"):
         Measure(((0.0, 0.0), (1.0,)), (0.5, 0.5))  # rows of unequal length
+    with pytest.raises(InvalidInput, match="malformed point"):
+        Measure(((1.0, 2.0), (3.0, "y")), (0.5, 0.5))
+    with pytest.raises(DimensionMismatch):
+        Measure((1.0, 2.0), (0.5, 0.5))  # scalar atoms
+    with pytest.raises(DimensionMismatch):
+        Measure(((),), (1.0,))  # an empty atom
+    with pytest.raises(DimensionMismatch):
+        Measure(((1.0,), ()), (0.5, 0.5))  # ragged, but the empty atom decides
+    with pytest.raises(DimensionMismatch):
+        Measure((((1.0, 2.0),),), (1.0,))  # a 2-d atom
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        Measure(((0.0, 1.0), (np.inf, 0.0)), (0.5, 0.5))
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        Measure(((0.0, np.nan), (1.0,)), (0.5, 0.5))  # ragged, but the NaN decides
     with pytest.raises(SizeLimit):
         Measure(tuple((float(i),) for i in range(65)), tuple([1.0 / 65] * 65))
     # tiny weights are dropped, the rest renormalized
     m = Measure(((0.0,), (1.0,)), (1.0 - 1e-15, 1e-15))
     assert len(m.weights) == 1
     assert m.weights[0] == 1.0
+
+
+def test_measure_arrays_are_cached_and_read_only():
+    rng = np.random.default_rng(13)
+    for n in (1, 3, 7, 64):
+        pts = rng.normal(size=(n, 3))
+        w = rng.random(n) + 0.05
+        mu = Measure(pts, w / w.sum())
+        assert pts.flags.writeable  # the caller's array is copied, not frozen
+        for got, want in ((mu.array(), np.asarray(mu.support)),
+                          (mu.weight_array(), np.asarray(mu.weights))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert mu.array() is mu.array() and mu.weight_array() is mu.weight_array()
+        with pytest.raises(ValueError):
+            mu.array()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mu.weight_array()[0] = 1.0
+
+
+def test_measure_tuples_are_the_float_conversion():
+    # the tuples hold the same Python floats as converting each kept atom and
+    # renormalized weight with float()
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(6, 2)) * 1e3
+    w = np.concatenate([rng.random(5) + 0.05, [1e-15]])
+    w[:5] /= w[:5].sum()
+    mu = Measure(tuple(map(tuple, pts)), tuple(w))
+    keep = w > 1e-14
+    want_support = tuple(tuple(map(float, p)) for p in pts[keep])
+    want_weights = tuple(map(float, w[keep] / float(w[keep].sum())))
+    assert len(mu.support) == 5
+    assert repr(mu.support) == repr(want_support)
+    assert np.asarray(mu.weights).tobytes() == np.asarray(want_weights).tobytes()
+    assert all(type(x) is float for p in mu.support for x in p)
+    assert all(type(x) is float for x in mu.weights)
 
 
 def test_plan_cost_forced_plans():
@@ -190,6 +240,15 @@ def pinned_instances():
         yield tuple(Measure(tuple(map(tuple, p)), tuple(w)) for p, w in zip(pts, ws))
 
 
+def test_pinned_pairs_cover_both_pricings():
+    # the digest below fixes the pivots of list pricing and numpy pricing only
+    # while the pinned pairs fall on both sides of the switch
+    cells = [len(mu.weights) * len(nu.weights) for mu, nu in pinned_instances()
+             if min(len(mu.weights), len(nu.weights)) > 1]
+    assert sum(c <= _LIST_PRICING_CELLS for c in cells) >= 50
+    assert sum(c > _LIST_PRICING_CELLS for c in cells) >= 50
+
+
 def test_pivot_sequence_is_pinned():
     # the digest fixes every value and plan entry bit for bit, so a change of
     # pivot rule, tie-break or dual arithmetic shows; it was taken from an
@@ -273,7 +332,9 @@ def test_measure_text_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(20):
         mu = random_measure(rng, max_atoms=5, dim=3)
-        again = parse_measure_text(format_measure_text(mu))
+        text = "".join(" ".join(format(x, ".17g") for x in (w,) + p) + "\n"
+                       for w, p in zip(mu.weights, mu.support))
+        again = parse_measure_text(text)
         assert np.array_equal(again.array(), mu.array())
         # constructor renormalization may shift the last ulp
         assert np.allclose(again.weight_array(), mu.weight_array(), rtol=0, atol=1e-15)
