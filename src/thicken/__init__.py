@@ -1,6 +1,6 @@
 """Metric thickenings of positive-reach subsets of Euclidean space.
 
-Library layers, bottom up: euclid (points, coincidence, tolerance contexts),
+Library layers, bottom up: euclid (points, coincidence, the tolerance policy),
 shapes (positive-reach sets with exact projection), complexes (simplex
 predicates, minimum enclosing balls, skeleton enumeration), transport
 (exact 1-Wasserstein on finite measures), thickening (measures as points
@@ -21,7 +21,7 @@ from .errors import (
     ThickenError,
     UnsupportedShape,
 )
-from .euclid import DEFAULT_CTX, GeomContext, diameter
+from .euclid import diameter
 from .shapes import (
     Circle,
     Ellipse,
@@ -97,7 +97,7 @@ __all__ = [
     "AmbiguousPredicate", "ConfigError", "DimensionMismatch", "InvalidInput",
     "MedialAxisProximity", "SimplexViolation", "SizeLimit", "SpecMismatch",
     "ThickenError", "UnsupportedShape",
-    "DEFAULT_CTX", "GeomContext", "diameter",
+    "diameter",
     "Circle", "Ellipse", "FinitePointSet", "Shape", "Sphere", "Torus",
     "ZeroSphere", "ambient_dim", "distance_to_shape", "estimate_reach",
     "project", "reach", "sample", "sample_rng", "shape_label",

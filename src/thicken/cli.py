@@ -60,8 +60,11 @@ def _cmd_verify(args) -> int:
     text = result.to_json_lines() if args.json_lines else result.to_csv()
     out_path = args.out or config.out
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
     print(f"verdict: {result.verdict}", file=sys.stderr)

@@ -12,7 +12,7 @@ decides by exact bounds on its measured quantity first (pairwise distances,
 or one witness's cover), running the exact kernel (threshold_compare on the
 diameter, the smallest enclosing ball, the candidate-center cover) only when
 the bounds straddle the threshold. It answers definitively only outside a
-relative eps_geo band around its threshold and raises AmbiguousPredicate
+relative EPS_GEO band around its threshold and raises AmbiguousPredicate
 inside the band; a value exactly at the threshold answers by strictness.
 is_simplex dispatches on the flavor.
 """
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity, SizeLimit
-from .euclid import (DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair, max_row_norm,
-                     norm, threshold_compare)
+from .euclid import (as_point, as_points, band, coincident_pair, max_row_norm, norm,
+                     threshold_compare)
 from .shapes import project
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
@@ -171,21 +171,21 @@ def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
     return math.sqrt((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
 
 
-def is_vr_simplex(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
+def is_vr_simplex(s, spec: ComplexSpec) -> bool:
     """Diameter within scale, strictness-aware."""
     if spec.flavor != "vr":
         raise InvalidInput(f"is_vr_simplex needs flavor 'vr', got {spec.flavor!r}")
     pts = _vertices(s)
     diam = math.sqrt(_square_distances(pts).max()) if pts.shape[0] > 1 else 0.0
-    band2 = 2.0 * ctx.band(spec.scale)
+    band2 = 2.0 * band(spec.scale)
     if diam <= spec.scale - band2:
         return True
     if diam >= spec.scale + band2:
         return False
-    return threshold_compare(diam, spec.scale, spec.strict, ctx)
+    return threshold_compare(diam, spec.scale, spec.strict)
 
 
-def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> bool:
+def is_cech_simplex_ambient(s, spec: ComplexSpec) -> bool:
     """Smallest enclosing ball radius within scale/2, strictness-aware.
 
     Rigorous radius bounds come first, in this order: the largest distance
@@ -196,7 +196,7 @@ def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX
         raise InvalidInput(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
     pts = _check_ball_dim(_vertices(s))
     half = spec.scale / 2.0
-    band2 = 2.0 * ctx.band(half)
+    band2 = 2.0 * band(half)
     if pts.shape[0] > 1:
         d2 = _square_distances(pts)
         if math.sqrt(d2.max(axis=1).min()) <= half - band2:
@@ -208,29 +208,27 @@ def is_cech_simplex_ambient(s, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX
     elif 0.0 <= half - band2:
         return True
     ball = min_enclosing_ball(pts)
-    return threshold_compare(ball.radius, half, spec.strict, ctx)
+    return threshold_compare(ball.radius, half, spec.strict)
 
 
-def intrinsic_cover(verts: np.ndarray, centers: np.ndarray, shape, half: float,
-                    ctx: GeomContext = DEFAULT_CTX) -> float:
+def intrinsic_cover(verts: np.ndarray, centers: np.ndarray, shape, half: float) -> float:
     """Least largest distance from an on-shape center to the rows of `verts`,
     inf when there is no center. The centers are the rows of `centers` and,
-    unless those already cover within half - 2 * ctx.band(half), which decides
+    unless those already cover within half - 2 * band(half), which decides
     the cover against `half`, the shape projection of the ambient
     smallest-ball center where that projection is defined."""
     cover = cover_radius(centers, verts)
-    if cover <= half - 2.0 * ctx.band(half):
+    if cover <= half - 2.0 * band(half):
         return cover
     try:
-        center = project(shape, np.asarray(min_enclosing_ball(verts).center), ctx)
+        center = project(shape, np.asarray(min_enclosing_ball(verts).center))
         cover = min(cover, max_row_norm(center - verts))
     except MedialAxisProximity:
         pass
     return cover
 
 
-def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence,
-                              ctx: GeomContext = DEFAULT_CTX) -> bool:
+def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence) -> bool:
     """Some on-shape candidate center covers all vertices within scale/2.
 
     Candidates are the provided witnesses plus the shape projection of the
@@ -243,19 +241,18 @@ def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence,
     verts = _check_ball_dim(_vertices(s))
     n, half = verts.shape[1], spec.scale / 2.0
     centers = as_points(witnesses, dim=n) if len(witnesses) > 0 else np.empty((0, n))
-    cover = intrinsic_cover(verts, centers, spec.shape, half, ctx)
-    return cover != math.inf and threshold_compare(cover, half, spec.strict, ctx)
+    cover = intrinsic_cover(verts, centers, spec.shape, half)
+    return cover != math.inf and threshold_compare(cover, half, spec.strict)
 
 
-def is_simplex(s, spec: ComplexSpec, witnesses: Sequence = (),
-               ctx: GeomContext = DEFAULT_CTX) -> bool:
+def is_simplex(s, spec: ComplexSpec, witnesses: Sequence = ()) -> bool:
     """Membership in the complex of `spec` by its flavor's predicate; the
     witnesses serve the intrinsic flavor only."""
     if spec.flavor == "vr":
-        return is_vr_simplex(s, spec, ctx)
+        return is_vr_simplex(s, spec)
     if spec.flavor == "cech-ambient":
-        return is_cech_simplex_ambient(s, spec, ctx)
-    return is_cech_simplex_intrinsic(s, spec, witnesses, ctx)
+        return is_cech_simplex_ambient(s, spec)
+    return is_cech_simplex_intrinsic(s, spec, witnesses)
 
 
 def _cliques(adj: np.ndarray, max_size: int) -> list:
@@ -278,18 +275,18 @@ def _cliques(adj: np.ndarray, max_size: int) -> list:
 
 
 def enumerate_skeleton(points: Sequence, spec: ComplexSpec, max_dim: int,
-                       witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> list:
+                       witnesses: Sequence = ()) -> list:
     """All simplices on the given points up to max_dim that satisfy the
     flavor's predicate. Vietoris-Rips is the clique complex of its
     1-skeleton; Cech flavors test each candidate subset, pruned by the
     Rips 1-skeleton at the same scale (every Cech simplex is one of its
     cliques)."""
-    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
+    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses)
     return [Simplex(tuple(map(tuple, pts[list(t)]))) for t in idx_simplices]
 
 
 def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
-                      witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> tuple:
+                      witnesses: Sequence = ()) -> tuple:
     """The points as a (m, n) array, and the skeleton's simplices as sorted
     index tuples."""
     if not (1 <= max_dim <= _MAX_DIM):
@@ -303,35 +300,35 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     if pair is not None:
         raise InvalidInput("points %d and %d coincide" % pair)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    band = ctx.band(spec.scale)
+    half_width = band(spec.scale)
 
     if spec.flavor == "vr":
         off = np.triu(np.ones((m, m), dtype=bool), 1)
         gap = np.abs(dist - spec.scale)
-        bad = off & (gap <= band) & (gap > 0)
+        bad = off & (gap <= half_width) & (gap > 0)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise AmbiguousPredicate(
-                f"edge ({i},{j}) length {dist[i, j]!r} within eps_geo of scale {spec.scale!r}")
+                f"edge ({i},{j}) length {dist[i, j]!r} within EPS_GEO of scale {spec.scale!r}")
         adj = dist < spec.scale if spec.strict else dist <= spec.scale
         np.fill_diagonal(adj, False)
         return pts, _cliques(adj, max_dim + 1)
 
     # Cech: candidate subsets are cliques of a loose Rips prefilter, which
     # never prunes a true simplex; each candidate runs the real predicate
-    adj = dist <= spec.scale + 2.0 * band
+    adj = dist <= spec.scale + 2.0 * half_width
     np.fill_diagonal(adj, False)
     if len(witnesses) > 0:
         witnesses = as_points(witnesses, dim=pts.shape[1])
     return pts, [t for t in _cliques(adj, max_dim + 1)
-                 if is_simplex(pts[list(t)], spec, witnesses, ctx)]
+                 if is_simplex(pts[list(t)], spec, witnesses)]
 
 
 def format_skeleton(points: Sequence, spec: ComplexSpec, max_dim: int,
-                    witnesses: Sequence = (), ctx: GeomContext = DEFAULT_CTX) -> str:
+                    witnesses: Sequence = ()) -> str:
     """Plain-text skeleton: header `dim <n> scale <r> flavor <f> strict <0|1>`
     then one simplex per line as space-separated vertex indices."""
-    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses, ctx)
+    pts, idx_simplices = _skeleton_indices(points, spec, max_dim, witnesses)
     lines = [f"dim {pts.shape[1]} scale {format(spec.scale, '.12g')} "
              f"flavor {spec.flavor} strict {1 if spec.strict else 0}"]
     lines.extend(" ".join(str(i) for i in t) for t in idx_simplices)

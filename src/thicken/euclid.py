@@ -1,22 +1,23 @@
 """Euclidean primitives: points, norms, diameters, coincidence, thresholds.
 
 Points are plain float64 numpy arrays. Every public operation validates
-finiteness and dimension agreement. Threshold comparisons never hard-code
-tolerances; they take a GeomContext.
+finiteness and dimension agreement. Every predicate shares one tolerance
+policy: EPS_GEO sets the ambiguity band around a threshold (see band) and
+EPS_MED the medial-axis guard of the shape projections.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmbiguousPredicate, DimensionMismatch, InvalidInput
 
 __all__ = [
-    "GeomContext",
-    "DEFAULT_CTX",
+    "EPS_GEO",
+    "EPS_MED",
+    "band",
     "as_point",
     "as_points",
     "diameter",
@@ -26,25 +27,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeomContext:
-    """Tolerance context for geometric predicates.
-
-    eps_geo: relative half-width of the ambiguity band around predicate
-        thresholds.
-    eps_med: relative guard (of reach) for nearest-point uniqueness.
-    """
-
-    eps_geo: float = 1e-9
-    eps_med: float = 1e-6
-
-    def band(self, threshold: float) -> float:
-        """Half-width eps_geo * max(1, |threshold|) of the ambiguity band: a
-        value farther than this from the threshold is on a trusted side."""
-        return self.eps_geo * max(1.0, abs(threshold))
+# relative half-width of the ambiguity band around predicate thresholds
+EPS_GEO = 1e-9
+# relative guard (of reach) for nearest-point uniqueness
+EPS_MED = 1e-6
 
 
-DEFAULT_CTX = GeomContext()
+def band(threshold: float) -> float:
+    """Half-width EPS_GEO * max(1, |threshold|) of the ambiguity band: a
+    value farther than this from the threshold is on a trusted side."""
+    return EPS_GEO * max(1.0, abs(threshold))
 
 
 def as_floats(x, what: str) -> np.ndarray:
@@ -134,21 +126,20 @@ def coincident_pair(points):
     return int(i[upper[0]]), int(j[upper[0]])
 
 
-def threshold_compare(value: float, threshold: float, strict: bool,
-                      ctx: GeomContext = DEFAULT_CTX) -> bool:
+def threshold_compare(value: float, threshold: float, strict: bool) -> bool:
     """Decide ``value <= threshold`` (or ``<`` when strict) with a guard band.
 
     Exact float equality answers definitively by strictness. Otherwise a
-    value within ctx.band(threshold) of the threshold raises
+    value within band(threshold) of the threshold raises
     AmbiguousPredicate: the arithmetic cannot be trusted to pick a side.
     """
     if not np.isfinite(value) or not np.isfinite(threshold):
         raise InvalidInput("threshold comparison on non-finite values")
     if value == threshold:
         return not strict
-    band = ctx.band(threshold)
-    if abs(value - threshold) <= band:
+    half_width = band(threshold)
+    if abs(value - threshold) <= half_width:
         raise AmbiguousPredicate(
-            f"value {value!r} within +/-{band:g} of threshold {threshold!r}"
+            f"value {value!r} within +/-{half_width:g} of threshold {threshold!r}"
         )
     return value < threshold

@@ -7,7 +7,9 @@ depend only on config and seed.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -83,10 +85,12 @@ class ExperimentResult:
     rows: tuple
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(str(row.get(c, "")) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        """Header and rows as CSV, quoting cells that hold a comma."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([row.get(c, "") for c in self.columns] for row in self.rows)
+        return buf.getvalue()
 
     def to_json_lines(self) -> str:
         lines = []

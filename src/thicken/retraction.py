@@ -19,8 +19,7 @@ import numpy as np
 
 from .complexes import ComplexSpec, cover_radius, intrinsic_cover, is_simplex, min_enclosing_ball
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
-from .euclid import (DEFAULT_CTX, GeomContext, coincident_pair, coincident_rows, max_row_norm,
-                     norm, row_norms)
+from .euclid import band, coincident_pair, coincident_rows, max_row_norm, norm, row_norms
 from .shapes import (
     ambient_dim,
     distance_to_shape,
@@ -69,19 +68,12 @@ class LemmaReport:
                                      else format(self.wall_time_ms, ".3f"))
         return cells
 
-    def csv_row(self, include_timing: bool = False) -> str:
-        return ",".join(self.csv_fields(include_timing).values())
-
-
-def csv_header(include_timing: bool = False) -> str:
-    return ",".join(CSV_COLUMNS + (("wall_time_ms",) if include_timing else ()))
-
 
 # ---------------------------------------------------------------------------
 # maps
 
 
-def retract(tp: ThickeningPoint, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
+def retract(tp: ThickeningPoint) -> np.ndarray:
     """Nearest-point projection of the barycenter: the on-shape point that the
     straight-line homotopy contracts toward.
 
@@ -91,18 +83,18 @@ def retract(tp: ThickeningPoint, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
     spec = tp.spec
     if spec.shape is None:
         raise InvalidInput("retract needs a spec with a shape")
-    return project(spec.shape, linear_projection_f(tp), ctx)
+    return project(spec.shape, linear_projection_f(tp))
 
 
-def homotopy_H(tp: ThickeningPoint, t: float, witnesses=(),
-               ctx: GeomContext = DEFAULT_CTX) -> ThickeningPoint:
+def homotopy_H(tp: ThickeningPoint, t: float) -> ThickeningPoint:
     """Straight-line homotopy between the identity (t=1) and the retraction
     composed with inclusion (t=0): reweight the atoms by t and put mass 1-t on
-    the retraction point. The result is validated; a failing validation is a
-    genuine counterexample and propagates as SimplexViolation."""
+    the retraction point p. The result is validated, with p as the witness
+    of the intrinsic flavor; a failing validation is a genuine counterexample
+    and propagates as SimplexViolation."""
     if not (0.0 <= t <= 1.0):
         raise InvalidInput(f"t must lie in [0, 1], got {t}")
-    p = retract(tp, ctx)
+    p = retract(tp)
     atoms = list(tp.measure.support)
     weights = [t * w for w in tp.measure.weights]
     hits = np.flatnonzero(coincident_rows(tp.measure.array(), p[None, :])[:, 0])
@@ -112,8 +104,7 @@ def homotopy_H(tp: ThickeningPoint, t: float, witnesses=(),
         atoms.append(tuple(map(float, p)))
         weights.append(1.0 - t)
     measure = Measure(tuple(atoms), tuple(weights))
-    wits = tuple(witnesses) + (tuple(map(float, p)),)
-    return make_thickening_point(measure, tp.spec, witnesses=wits, ctx=ctx)
+    return make_thickening_point(measure, tp.spec, witnesses=(tuple(map(float, p)),))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +144,7 @@ def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     return None
 
 
-def _sample_simplex(shape, natoms, spec: ComplexSpec, rng, ctx: GeomContext):
+def _sample_simplex(shape, natoms, spec: ComplexSpec, rng):
     """Support of `natoms` distinct on-shape points that is a simplex of
     `spec`, drawn around a fresh on-shape point y.
 
@@ -176,12 +167,12 @@ def _sample_simplex(shape, natoms, spec: ComplexSpec, rng, ctx: GeomContext):
             rest = _patch_points(shape, y, radius, natoms - 1, rng, exclude_center=True)
             pts = None if rest is None else np.concatenate((y[None, :], rest))
         if (pts is not None and coincident_pair(pts) is None
-                and is_simplex(pts, spec, y[None, :], ctx)):
+                and is_simplex(pts, spec, y[None, :])):
             return pts, y
     return None
 
 
-def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int, ctx: GeomContext) -> int:
+def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int) -> int:
     """Largest support size (up to cap) for which some simplex of `spec`
     exists, with the shape's points as witnesses. Exact subset search on
     finite shapes; continuous shapes always admit arbitrarily small patches,
@@ -193,7 +184,7 @@ def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int, ctx: GeomContext) ->
     for size in range(min(cap, n), 1, -1):
         for comb in combinations(range(n), size):
             try:
-                if is_simplex(fin[list(comb)], spec, fin, ctx):
+                if is_simplex(fin[list(comb)], spec, fin):
                     return size
             except AmbiguousPredicate:
                 continue
@@ -257,11 +248,16 @@ def _trial_rngs(seed: int, trials: int):
 
 
 def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
-    """Run `trial_fn(rng)` on the RNG stream (seed, t) of each trial index t
-    and aggregate the outcomes: (margin, tol), None for a starved trial, or
-    an AmbiguousPredicate raised for an ambiguous one."""
+    """Check trials >= 0, k >= 0 and r > 0 for every checker, run
+    `trial_fn(rng)` on the RNG stream (seed, t) of each trial index t and
+    aggregate the outcomes: (margin, tol), None for a starved trial, or an
+    AmbiguousPredicate raised for an ambiguous one."""
     if trials < 0:
         raise InvalidInput("trials must be >= 0")
+    if k < 0:
+        raise InvalidInput("k must be >= 0")
+    if not r > 0:
+        raise InvalidInput(f"r must be positive, got {r!r}")
     amb = starved = viol = 0
     worst = -math.inf
     for rng in _trial_rngs(seed, trials):
@@ -304,13 +300,10 @@ def _require_scale_below_reach(shape, r: float) -> None:
 # lemma checkers
 
 
-def check_convex_lemma(shape, r, k, trials, seed, strict=False,
-                       ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
     """A convex set missing a hull point must miss a generator: for random
     on-shape generators, a random hull point y, and a random convex set
     (half-space or ball) excluding y, some generator lies outside the set."""
-    if k < 0:
-        raise InvalidInput("k must be >= 0")
 
     def trial(rng):
         natoms = 1 + int(rng.integers(0, k + 1))
@@ -331,23 +324,22 @@ def check_convex_lemma(shape, r, k, trials, seed, strict=False,
             q = y + (rho + gap) * normal
             margin = rho - max_row_norm(pts - q)
             bound = rho
-        return margin, ctx.band(bound)
+        return margin, band(bound)
 
     return _run_cell("Convex", shape, r, k, trials, seed, trial)
 
 
-def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin,
-                  ctx: GeomContext) -> LemmaReport:
+def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin) -> LemmaReport:
     """Cell whose trials sample a simplex of 1..k+1 atoms of `spec` (see
     _sample_simplex), draw convex weights and score `margin(pts, weights, y)`
     against tolerance at r, y being the on-shape point the support was drawn
     around. A margin whose projection lands on the medial axis counts as inf."""
-    cap = _max_feasible_atoms(shape, spec, k + 1, ctx)
-    tol = ctx.band(r)
+    cap = _max_feasible_atoms(shape, spec, k + 1)
+    tol = band(r)
 
     def trial(rng):
         natoms = 1 + int(rng.integers(0, cap))
-        drawn = _sample_simplex(shape, natoms, spec, rng, ctx)
+        drawn = _sample_simplex(shape, natoms, spec, rng)
         if drawn is None:
             return None
         pts, y = drawn
@@ -360,57 +352,47 @@ def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin
     return _run_cell(lemma_id, shape, r, k, trials, seed, trial)
 
 
-def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False,
-                       ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Barycenters of diameter-r supports stay within r of the shape."""
-    if r <= 0:
-        raise InvalidInput("r must be positive")
     return _simplex_cell("VrTub", shape, r, k, trials, seed,
                          ComplexSpec("vr", r, strict=strict, shape=shape),
-                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
+                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r)
 
 
-def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False,
-                           ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Adjoining the retraction point keeps a diameter-r support within
     diameter r: every vertex lies within r of the projected barycenter."""
     _require_scale_below_reach(shape, r)
 
     def margin(pts, lam, y):
-        p = project(shape, lam @ pts, ctx)
+        p = project(shape, lam @ pts)
         return max_row_norm(pts - p) - r
 
     return _simplex_cell("VrSimplex", shape, r, k, trials, seed,
-                         ComplexSpec("vr", r, strict=strict, shape=shape), margin, ctx)
+                         ComplexSpec("vr", r, strict=strict, shape=shape), margin)
 
 
-def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False,
-                            ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Any hull point of a support with min-ball radius r lies within r of
     some vertex."""
-    if r <= 0:
-        raise InvalidInput("r must be positive")
 
     def margin(pts, lam, y):
         return float(row_norms(pts - lam @ pts).min()) - r
 
     return _simplex_cell("CechRadius", shape, r, k, trials, seed,
                          ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
-                         margin, ctx)
+                         margin)
 
 
-def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False,
-                         ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Barycenters of min-ball-radius-r supports stay within r of the shape."""
-    if r <= 0:
-        raise InvalidInput("r must be positive")
     return _simplex_cell("CechTub", shape, r, k, trials, seed,
                          ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
-                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r, ctx)
+                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r)
 
 
 def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
-                             strict=False, ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+                             strict=False) -> LemmaReport:
     """Adjoining the retraction point to a min-ball-radius-r support keeps it
     one: the augmented support passes the same membership test (non-strict
     form asserted; the margin reports the strict gap)."""
@@ -422,13 +404,13 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
         return _simplex_cell(
             "CechSimplexAmbient", shape, r, k, trials, seed, spec,
             lambda pts, lam, y: min_enclosing_ball(
-                _augment(pts, project(shape, lam @ pts, ctx))).radius - r, ctx)
+                _augment(pts, project(shape, lam @ pts))).radius - r)
 
     # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
     pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
 
     def margin(pts, lam, y):
-        p = project(shape, lam @ pts, ctx)
+        p = project(shape, lam @ pts)
         aug = _augment(pts, p)
         # candidate centers y, p and the pool; a pool point farther from
         # aug[0] than the cover of y or p cannot win
@@ -436,9 +418,9 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
         cover = cover_radius(centers, aug)
         d = pool - aug[0]
         near = pool[(d * d).sum(axis=1) <= cover * cover * (1.0 + 1e-9)]
-        return intrinsic_cover(aug, np.concatenate((centers, near)), shape, r, ctx) - r
+        return intrinsic_cover(aug, np.concatenate((centers, near)), shape, r) - r
 
-    return _simplex_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, spec, margin, ctx)
+    return _simplex_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, spec, margin)
 
 
 def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -448,7 +430,7 @@ def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.concatenate((pts, p[None, :]))
 
 
-def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_empty_ball(shape, trials, seed) -> LemmaReport:
     """The open ball of radius reach, tangent at the projection of a tube
     point and centered past it, misses the shape: every point of a dense
     on-shape sample stays at least reach away from the center."""
@@ -474,7 +456,7 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
             if d <= 1e-12 * (1.0 + norm(x)):
                 continue
             try:
-                p = project(shape, x, ctx)
+                p = project(shape, x)
             except MedialAxisProximity:
                 continue
             c = p + tau * (x - p) / norm(x - p)
@@ -484,7 +466,7 @@ def check_empty_ball(shape, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
     return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, trial)
 
 
-def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> LemmaReport:
+def check_federer(shape, r, trials, seed) -> LemmaReport:
     """Projection is Lipschitz on the radius-r tube with factor
     reach/(reach - r)."""
     _require_scale_below_reach(shape, r)
@@ -501,12 +483,12 @@ def check_federer(shape, r, trials, seed, ctx: GeomContext = DEFAULT_CTX) -> Lem
             x = base[0] + mags[0] * us[0]
             y = base[1] + mags[1] * us[1]
             try:
-                px = project(shape, x, ctx)
-                py = project(shape, y, ctx)
+                px = project(shape, x)
+                py = project(shape, y)
             except MedialAxisProximity:
                 continue
             bound = factor * norm(x - y)
-            return norm(px - py) - bound, ctx.band(bound)
+            return norm(px - py) - bound, band(bound)
         return None
 
     return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, trial)
@@ -540,7 +522,7 @@ _CECH = ("all", "cech")
 # replaced on this module (by a tracer or a test) is the one that runs.
 SUITES = {
     "Convex": Suite(lambda shape, r, k, trials, seed, strict: check_convex_lemma(
-        shape, r, k, trials, seed, strict=strict), CAMPAIGN_FLAVORS),
+        shape, r, k, trials, seed), CAMPAIGN_FLAVORS),
     "VrTub": Suite(lambda shape, r, k, trials, seed, strict: check_vr_tub_lemma(
         shape, r, k, trials, seed, strict=strict), _VR),
     "VrSimplex": Suite(lambda shape, r, k, trials, seed, strict: check_vr_simplex_lemma(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, MedialAxisProximity, UnsupportedShape
-from .euclid import DEFAULT_CTX, GeomContext, as_point, as_points, coincident_pair
+from .euclid import EPS_MED, as_point, as_points, coincident_pair
 
 __all__ = [
     "Shape",
@@ -42,7 +42,7 @@ class Shape:
 
     Each kind is a frozen dataclass whose fields are its descriptor
     parameters (``kind`` names it in configs). It supplies ``ambient_dim``,
-    ``reach`` and ``label``; ``distance(p)``, ``project(p, ctx)`` and
+    ``reach`` and ``label``; ``distance(p)``, ``project(p)`` and
     ``sample(count, rng)`` on validated input; ``bounding_box()``; and either
     ``finite_points()`` (finite kinds) or ``intrinsic_measure()`` (continuous
     kinds), which size the reach estimator's witness pool. Callers go through
@@ -66,9 +66,9 @@ class _RoundSphere(Shape):
     def distance(self, p) -> float:
         return abs(float(np.linalg.norm(p)) - self.radius)
 
-    def project(self, p, ctx):
+    def project(self, p):
         nrm = float(np.linalg.norm(p))
-        if nrm <= self.radius * ctx.eps_med:
+        if nrm <= self.radius * EPS_MED:
             raise MedialAxisProximity("input at the center: all directions tie")
         return p * (self.radius / nrm)
 
@@ -219,7 +219,7 @@ class Ellipse(Shape):
     def distance(self, p) -> float:
         return self._nearest(p)[1]
 
-    def project(self, p, ctx):
+    def project(self, p):
         foot, d, tied = self._nearest(p)
         if tied:
             raise MedialAxisProximity("two symmetric nearest points tie on the ellipse")
@@ -228,7 +228,7 @@ class Ellipse(Shape):
         # nearest point is unique however close x sits to the axis
         mirrored = math.hypot(foot[0] - p[0], -foot[1] - p[1])
         cusp = (self.a * self.a - self.b * self.b) / self.a
-        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= ctx.eps_med * self.reach:
+        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= EPS_MED * self.reach:
             raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
         return foot
 
@@ -286,14 +286,14 @@ class Torus(Shape):
         rho_xy = math.hypot(p[0], p[1])
         return abs(math.hypot(rho_xy - self.major, p[2]) - self.minor)
 
-    def project(self, p, ctx):
+    def project(self, p):
         rho_xy = math.hypot(p[0], p[1])
-        if rho_xy <= self.major * ctx.eps_med:
+        if rho_xy <= self.major * EPS_MED:
             raise MedialAxisProximity("input on the torus axis: a circle of nearest points")
         spine = np.array([p[0], p[1], 0.0]) * (self.major / rho_xy)
         v = p - spine
         vn = float(np.linalg.norm(v))
-        if vn <= self.minor * ctx.eps_med:
+        if vn <= self.minor * EPS_MED:
             raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
         return spine + v * (self.minor / vn)
 
@@ -335,10 +335,10 @@ class ZeroSphere(Shape):
     def distance(self, p) -> float:
         return min(abs(p[0] - 1.0), abs(p[0] + 1.0))
 
-    def project(self, p, ctx):
+    def project(self, p):
         d_plus = abs(p[0] - 1.0)
         d_minus = abs(p[0] + 1.0)
-        if abs(d_plus - d_minus) <= ctx.eps_med * self.reach:
+        if abs(d_plus - d_minus) <= EPS_MED * self.reach:
             raise MedialAxisProximity("equidistant from -1 and +1")
         return np.array([1.0 if d_plus < d_minus else -1.0])
 
@@ -390,12 +390,12 @@ class FinitePointSet(Shape):
     def distance(self, p) -> float:
         return float(np.sqrt(((self.array() - p) ** 2).sum(axis=1).min()))
 
-    def project(self, p, ctx):
+    def project(self, p):
         pts = self.array()
         dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
         order = np.argsort(dists, kind="stable")
         d1, d2 = dists[order[0]], dists[order[1]]
-        if d2 - d1 <= ctx.eps_med * max(d1, self.reach):
+        if d2 - d1 <= EPS_MED * max(d1, self.reach):
             raise MedialAxisProximity("two sample points tie as nearest")
         return pts[order[0]].copy()
 
@@ -457,15 +457,15 @@ def distance_to_shape(shape, x) -> float:
     return _shape(shape).distance(as_point(x, dim=shape.ambient_dim))
 
 
-def project(shape, x, ctx: GeomContext = DEFAULT_CTX) -> np.ndarray:
+def project(shape, x) -> np.ndarray:
     """Unique nearest point on the shape.
 
     Raises MedialAxisProximity when two nearest-point candidates tie within
-    relative eps_med, i.e. when x sits at (or numerically near) the medial
+    relative EPS_MED, i.e. when x sits at (or numerically near) the medial
     axis. Uniqueness everywhere else follows from each kind's geometry;
     inside the reach tube it is guaranteed for every kind.
     """
-    return _shape(shape).project(as_point(x, dim=shape.ambient_dim), ctx)
+    return _shape(shape).project(as_point(x, dim=shape.ambient_dim))
 
 
 def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .complexes import ComplexSpec, is_simplex, min_enclosing_ball
 from .errors import InvalidInput, SimplexViolation, SpecMismatch
-from .euclid import DEFAULT_CTX, GeomContext, as_point, diameter
+from .euclid import as_point, band, diameter
 from .shapes import distance_to_shape
 from .transport import Measure, wasserstein1
 
@@ -43,13 +43,12 @@ def _failure_report(pts: np.ndarray, spec: ComplexSpec, witnesses) -> str:
             f"{len(tuple(witnesses))} candidate witnesses)")
 
 
-def make_thickening_point(measure: Measure, spec: ComplexSpec, witnesses=(),
-                          ctx: GeomContext = DEFAULT_CTX) -> ThickeningPoint:
+def make_thickening_point(measure: Measure, spec: ComplexSpec, witnesses=()) -> ThickeningPoint:
     """Validate that the measure's support is a simplex of the complex and
     wrap it. Raises SimplexViolation with a diagnostic report on failure;
     AmbiguousPredicate propagates from the underlying predicate."""
     pts = measure.array()  # Measure's atoms are finite and pairwise distinct
-    if not is_simplex(pts, spec, witnesses, ctx):
+    if not is_simplex(pts, spec, witnesses):
         raise SimplexViolation(_failure_report(pts, spec, witnesses))
     return ThickeningPoint(measure, spec)
 
@@ -60,16 +59,16 @@ def linear_projection_f(tp: ThickeningPoint) -> np.ndarray:
     return tp.measure.weight_array() @ tp.measure.array()
 
 
-def inclusion_iota(x, spec: ComplexSpec, ctx: GeomContext = DEFAULT_CTX) -> ThickeningPoint:
+def inclusion_iota(x, spec: ComplexSpec) -> ThickeningPoint:
     """The Dirac measure at x as a thickening point. When ``spec`` carries a
     shape, x must lie on it."""
     p = as_point(x)
     if spec.shape is not None:
         gap = distance_to_shape(spec.shape, p)
-        if gap > ctx.band(float(np.linalg.norm(p))):
+        if gap > band(float(np.linalg.norm(p))):
             raise InvalidInput(f"point is off-shape by {gap:.3g}, cannot include")
     measure = Measure((tuple(map(float, p)),), (1.0,))
-    return make_thickening_point(measure, spec, witnesses=(tuple(map(float, p)),), ctx=ctx)
+    return make_thickening_point(measure, spec, witnesses=(tuple(map(float, p)),))
 
 
 def thickening_distance(a: ThickeningPoint, b: ThickeningPoint) -> float:

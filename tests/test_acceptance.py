@@ -257,7 +257,7 @@ def test_criterion_11_csv_byte_determinism(monkeypatch):
     for threads in ("1", "4"):
         monkeypatch.setenv("THICKEN_THREADS", threads)
         rows[threads] = "\n".join(
-            check_vr_simplex_lemma(shape, r, 5, 10000, seed=11).csv_row()
+            ",".join(check_vr_simplex_lemma(shape, r, 5, 10000, seed=11).csv_fields().values())
             for shape, r in SHAPES4)
     dt = time.perf_counter() - t0
     ok = rows["1"] == rows["4"] and len(rows["1"].splitlines()) == 4

@@ -279,29 +279,23 @@ def test_cech_intrinsic_witness_semantics():
 
 def test_intrinsic_cover_candidates_and_context(monkeypatch):
     import thicken.complexes as complexes
-    from thicken import GeomContext
     from thicken.complexes import intrinsic_cover
 
     shape = Circle(1.0)
     near = np.array([[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]])
     chord = 2.0 * np.sin(0.05)  # from the arc midpoint to either vertex
-    contexts = []
+    calls = []
     real = complexes.project
-    monkeypatch.setattr(complexes, "project",
-                        lambda s, x, ctx: contexts.append(ctx) or real(s, x, ctx))
+    monkeypatch.setattr(complexes, "project", lambda s, x: calls.append(x) or real(s, x))
     # a center covering far below the threshold decides without the projection
     mid = np.array([[np.cos(0.1), np.sin(0.1)]])
     assert intrinsic_cover(near, mid, shape, 1.0) == pytest.approx(chord, abs=1e-15)
-    assert contexts == []
+    assert calls == []
     # with no centers the projected smallest-ball center is the candidate
     assert intrinsic_cover(near, np.empty((0, 2)), shape, 0.25) == pytest.approx(chord, abs=1e-15)
     # a medial smallest-ball center leaves no candidate
     antipodal = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert intrinsic_cover(antipodal, np.empty((0, 2)), shape, 1.5) == np.inf
-    # the predicate projects under its own context
-    ctx = GeomContext(eps_geo=1e-6)
-    assert is_cech_simplex_intrinsic(near, ComplexSpec("cech-intrinsic", 0.5, shape=shape), (), ctx)
-    assert contexts[-1] is ctx
 
 
 def test_cech_intrinsic_requires_shape():

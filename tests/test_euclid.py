@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from thicken import AmbiguousPredicate, DimensionMismatch, GeomContext, InvalidInput
+from thicken import AmbiguousPredicate, DimensionMismatch, InvalidInput
 from thicken.euclid import (
     as_point,
     as_points,
@@ -126,21 +126,19 @@ def test_threshold_compare_exact_equality_decides_by_strictness():
 
 
 def test_threshold_compare_band_raises():
-    ctx = GeomContext(eps_geo=1e-9)
     with pytest.raises(AmbiguousPredicate):
-        threshold_compare(1.0 + 1e-10, 1.0, strict=False, ctx=ctx)
+        threshold_compare(1.0 + 1e-10, 1.0, strict=False)
     with pytest.raises(AmbiguousPredicate):
-        threshold_compare(1.0 - 1e-10, 1.0, strict=True, ctx=ctx)
+        threshold_compare(1.0 - 1e-10, 1.0, strict=True)
     # outside the band both sides resolve
-    assert threshold_compare(1.0 - 1e-8, 1.0, strict=True, ctx=ctx)
-    assert not threshold_compare(1.0 + 1e-8, 1.0, strict=False, ctx=ctx)
+    assert threshold_compare(1.0 - 1e-8, 1.0, strict=True)
+    assert not threshold_compare(1.0 + 1e-8, 1.0, strict=False)
 
 
 def test_threshold_compare_band_scales_with_threshold():
-    ctx = GeomContext(eps_geo=1e-9)
     # band = eps * max(1, |thr|): at thr=1000 the band is 1e-6 wide
     with pytest.raises(AmbiguousPredicate):
-        threshold_compare(1000.0 + 5e-7, 1000.0, strict=False, ctx=ctx)
-    assert not threshold_compare(1000.0 + 5e-6, 1000.0, strict=False, ctx=ctx)
+        threshold_compare(1000.0 + 5e-7, 1000.0, strict=False)
+    assert not threshold_compare(1000.0 + 5e-6, 1000.0, strict=False)
     with pytest.raises(ValueError):
         threshold_compare(np.inf, 1.0, strict=False)

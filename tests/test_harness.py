@@ -1,4 +1,5 @@
 """Campaign configs, verdict logic, CSV determinism, CLI behavior."""
+import csv
 import subprocess
 import sys
 
@@ -143,6 +144,16 @@ def test_csv_identical_across_worker_counts(monkeypatch):
     assert one == four == three
 
 
+@pytest.mark.parametrize("shape", [Ellipse(2.0, 1.0), Torus(3.0, 1.0)], ids=["ellipse", "torus"])
+def test_campaign_csv_reads_back_as_fields(shape):
+    # the shape labels hold commas, e.g. ellipse(a=2,b=1)
+    res = run_campaign(CampaignConfig(shape=shape, rs=(0.3,), k=2, trials=5, seed=1,
+                                      lemmas=("Convex",)))
+    rows = list(csv.reader(res.to_csv().splitlines()))
+    assert rows[0] == list(res.columns)
+    assert rows[1:] == [list(row.values()) for row in res.rows]
+
+
 def test_experiment_registry_metadata():
     assert set(EXPERIMENTS) == {"s0-tightness", "reach-validation"}
     for name, exp in EXPERIMENTS.items():
@@ -193,6 +204,19 @@ def test_cli_verify_out_file_and_json(tmp_path):
     res = run_cli("verify", str(conf), "--json-lines")
     first = res.stdout.splitlines()[0]
     assert first.startswith("{") and '"experiment_id": "campaign"' in first
+
+
+def test_cli_verify_unwritable_out_is_config_error(tmp_path, capsys):
+    import thicken.cli as cli
+
+    conf = tmp_path / "ok.txt"
+    conf.write_text(GOOD)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["verify", str(conf), "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    conf.write_text(GOOD + f"out={out}\n")
+    assert cli.main(["verify", str(conf)]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_cli_byte_determinism_across_thread_env(tmp_path):

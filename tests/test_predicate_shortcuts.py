@@ -29,7 +29,8 @@ from thicken import (  # noqa: E402
     project,
     sample,
 )
-from thicken.euclid import DEFAULT_CTX, coincident_pair, diameter, threshold_compare  # noqa: E402
+from thicken import euclid  # noqa: E402
+from thicken.euclid import coincident_pair, diameter, threshold_compare  # noqa: E402
 
 SHAPES = {1: ZeroSphere(), 2: Circle(1.0), 3: Sphere(3, 1.0)}
 # offsets in ambiguity bands: inside the band, at and around the shortcut
@@ -52,7 +53,7 @@ offsets = st.one_of(st.sampled_from(BANDS), st.floats(-4.0, 4.0))
 
 
 def _threshold(value: float, bands: float) -> float:
-    t = value + bands * DEFAULT_CTX.eps_geo * max(1.0, value)
+    t = value + bands * euclid.EPS_GEO * max(1.0, value)
     assume(t > 0.0)
     return t
 

@@ -31,7 +31,7 @@ from thicken import (
     sample_rng,
     thickening_distance,
 )
-from thicken.retraction import _trial_rngs, csv_header
+from thicken.retraction import CSV_COLUMNS, _trial_rngs
 
 from test_thickening import vr_measure_on
 
@@ -268,7 +268,7 @@ PINNED_ROWS = {
 
 @pytest.mark.parametrize("row", PINNED_ROWS)
 def test_checker_rows_are_pinned(row):
-    assert PINNED_ROWS[row]().csv_row() == row
+    assert ",".join(PINNED_ROWS[row]().csv_fields().values()) == row
 
 
 def test_trial_streams_match_default_rng():
@@ -316,17 +316,41 @@ def test_finite_shape_caps_simplex_size_instead_of_starving():
 
 
 def test_csv_row_and_header():
-    assert csv_header() == ("lemma_id,shape,r,k,trials,violations,ambiguous,"
-                            "worst_margin,seed")
-    assert csv_header(include_timing=True).endswith(",wall_time_ms")
+    assert CSV_COLUMNS == ("lemma_id", "shape", "r", "k", "trials", "violations",
+                           "ambiguous", "worst_margin", "seed")
     rep = check_convex_lemma(Circle(1.0), 0.5, 2, 10, seed=2)
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert fields[0] == "Convex"
-    assert fields[1] == "circle(R=1)"
-    assert fields[4] == "10"
-    timed = rep.csv_row(include_timing=True)
-    assert timed.startswith(row)
+    fields = rep.csv_fields()
+    assert tuple(fields) == CSV_COLUMNS
+    assert fields["lemma_id"] == "Convex"
+    assert fields["shape"] == "circle(R=1)"
+    assert fields["trials"] == "10"
+    timed = rep.csv_fields(include_timing=True)
+    assert tuple(timed) == CSV_COLUMNS + ("wall_time_ms",)
+    assert timed["wall_time_ms"] == ""
+
+
+# each checker taking k and r, called as (r, k); check_federer takes no k
+RANGED_CHECKERS = {
+    "Convex": lambda r, k: check_convex_lemma(Circle(1.0), r, k, 3, 1),
+    "VrTub": lambda r, k: check_vr_tub_lemma(Circle(1.0), r, k, 3, 1),
+    "VrSimplex": lambda r, k: check_vr_simplex_lemma(Circle(1.0), r, k, 3, 1),
+    "CechRadius": lambda r, k: check_cech_radius_lemma(Circle(1.0), r, k, 3, 1),
+    "CechTub": lambda r, k: check_cech_tub_lemma(Circle(1.0), r, k, 3, 1),
+    "CechSimplexAmbient": lambda r, k: check_cech_simplex_lemma(
+        Circle(1.0), r, k, 3, 1, flavor="ambient"),
+    "CechSimplexIntrinsic": lambda r, k: check_cech_simplex_lemma(
+        Circle(1.0), r, k, 3, 1, flavor="intrinsic"),
+    "FedererLipschitz": lambda r, k: check_federer(Circle(1.0), r, 3, 1),
+}
+
+
+@pytest.mark.parametrize("lemma, r, k", [
+    (lemma, r, k) for lemma in RANGED_CHECKERS
+    for r, k in ((0.5, -1), (0.0, 2), (-0.5, 2))
+    if k >= 0 or lemma != "FedererLipschitz"])
+def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k):
+    with pytest.raises(InvalidInput):
+        RANGED_CHECKERS[lemma](r, k)
 
 
 def test_strict_variant_runs_clean():
