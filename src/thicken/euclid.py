@@ -21,6 +21,7 @@ __all__ = [
     "as_point",
     "as_points",
     "diameter",
+    "nearest_distance_query",
     "coincident_rows",
     "coincident_pair",
     "threshold_compare",
@@ -87,6 +88,62 @@ def row_norms(d: np.ndarray) -> np.ndarray:
 def max_row_norm(d: np.ndarray) -> float:
     """Largest row norm: the root of the largest square, as the root is monotone."""
     return math.sqrt((d * d).sum(axis=1).max())
+
+
+def _kd_square_sums(d: np.ndarray) -> np.ndarray:
+    """Column sums of d*d for a (n, k) array of k difference vectors, in the
+    order scipy's cKDTree adds them: four lanes over whole blocks of four
+    coordinates, the lanes added in turn, then the other coordinates one by
+    one (for n < 8 that is the plain left-to-right sum)."""
+    sq = d * d
+    n = sq.shape[0]
+    whole = n - n % 4
+    if whole:
+        lanes = sq[0:4]
+        for j in range(4, whole, 4):
+            lanes = lanes + sq[j:j + 4]
+        s = lanes[0] + lanes[1] + lanes[2] + lanes[3]
+    else:
+        s = sq[0]
+    for j in range(max(whole, 1), n):
+        s = s + sq[j]
+    return s
+
+
+def nearest_distance_query(points):
+    """query(c) -> the distance from c to the nearest row of the (k, n) array
+    `points`, bit for bit what scipy's cKDTree(points).query(c)[0] gives.
+
+    A query screens every row x by v(x) = |x|^2 - 2<x, c>, which orders the
+    rows as |x - c|^2 = v(x) + |c|^2 does, and computes the distance, in
+    cKDTree's order, only for the rows whose v is within a rounding slack
+    of the least."""
+    pts = as_points(points)
+    n = pts.shape[1]
+    cols = np.ascontiguousarray(pts.T)
+    minus_2x = -2.0 * cols
+    sq_norms = (pts * pts).sum(axis=1)
+    max_norm = math.sqrt(sq_norms.max())
+
+    def query(c: np.ndarray) -> float:
+        v = c @ minus_2x
+        v += sq_norms
+        # Slack, for any summation order, with or without fused multiply-adds
+        # (u = 2^-53, g_m = m u / (1 - m u), B = (max|x| + |c|)^2): the
+        # computed |x|^2 and <x, c> lie within g_n |x|^2 and g_n |x||c| of
+        # their values and the sum adds u |v|, so a computed v is within
+        # e = g_(n+1) B of its value; a computed |x - c|^2 (n rounded
+        # differences, squares and sums) is within e' = g_(n+2) B of its
+        # value. The row x* of least computed distance and the row x_m of
+        # least computed v then have v(x*) <= v(x_m) + 2e + 2e' < v(x_m) +
+        # 4 (n + 2) u B (1 + 1e-15); twice that also covers the rounding of
+        # B and of the threshold, and the 2^-1074 term covers underflow.
+        b = max_norm + math.sqrt(c.dot(c))
+        slack = 8 * (n + 2) * (2.0 ** -53 * b * b + 2.0 ** -1074)
+        near = cols.take(np.flatnonzero(v <= v.min() + slack), axis=1)
+        return math.sqrt(_kd_square_sums(near - c[:, None]).min())
+
+    return query
 
 
 def diameter(points) -> float:

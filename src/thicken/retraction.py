@@ -11,6 +11,7 @@ campaign driver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable
@@ -19,13 +20,15 @@ import numpy as np
 
 from .complexes import ComplexSpec, cover_radius, intrinsic_cover, is_simplex, min_enclosing_ball
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
-from .euclid import band, coincident_pair, coincident_rows, max_row_norm, norm, row_norms
+from .euclid import (band, coincident_pair, coincident_rows, max_row_norm,
+                     nearest_distance_query, norm, row_norms)
 from .shapes import (
     ambient_dim,
     distance_to_shape,
     finite_points,
     project,
     reach,
+    sample_patch,
     sample_rng,
     shape_label,
 )
@@ -133,8 +136,7 @@ def _patch_points(shape, center, radius, count, rng, exclude_center=False):
     need = count
     batch = 128
     for _ in range(_PATCH_BUDGET):
-        cand = sample_rng(shape, batch, rng)
-        keep = cand[row_norms(cand - center) <= radius]
+        keep = sample_patch(shape, center, radius, batch, rng)
         if keep.shape[0]:
             out.append(keep[:need])
             need -= min(keep.shape[0], need)
@@ -230,11 +232,15 @@ def _pcg_states(seed: int, ts: np.ndarray):
         yield ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+
+
 def _trial_rngs(seed: int, trials: int):
     """Yield for t in range(trials) a generator on the stream of default_rng((seed, t)),
     reseeding one generator, as building each costs more than a typical trial."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32 and trials <= 2**32):
         yield from (np.random.default_rng((seed, t)) for t in range(trials))
         return
@@ -247,17 +253,24 @@ def _trial_rngs(seed: int, trials: int):
             yield rng
 
 
-def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
-    """Check trials >= 0, k >= 0 and r > 0 for every checker, run
-    `trial_fn(rng)` on the RNG stream (seed, t) of each trial index t and
-    aggregate the outcomes: (margin, tol), None for a starved trial, or an
-    AmbiguousPredicate raised for an ambiguous one."""
-    if trials < 0:
-        raise InvalidInput("trials must be >= 0")
-    if k < 0:
-        raise InvalidInput("k must be >= 0")
+def _check_cell_args(r, k, trials, seed) -> None:
+    """The one rule on a checker's arguments: integers k >= 0 and trials >= 0,
+    r > 0 and a seed the trial streams take. Checkers that draw a set-up
+    from them call it first; _run_cell calls it for every checker."""
+    for name, value in (("k", k), ("trials", trials)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
     if not r > 0:
         raise InvalidInput(f"r must be positive, got {r!r}")
+    _check_seed(seed)
+
+
+def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
+    """Check the arguments, run `trial_fn(rng)` on the RNG stream (seed, t)
+    of each trial index t and aggregate the outcomes: (margin, tol), None
+    for a starved trial, or an AmbiguousPredicate raised for an ambiguous
+    one."""
+    _check_cell_args(r, k, trials, seed)
     amb = starved = viol = 0
     worst = -math.inf
     for rng in _trial_rngs(seed, trials):
@@ -334,6 +347,7 @@ def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin
     _sample_simplex), draw convex weights and score `margin(pts, weights, y)`
     against tolerance at r, y being the on-shape point the support was drawn
     around. A margin whose projection lands on the medial axis counts as inf."""
+    _check_cell_args(r, k, trials, seed)
     cap = _max_feasible_atoms(shape, spec, k + 1)
     tol = band(r)
 
@@ -406,6 +420,7 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
             lambda pts, lam, y: min_enclosing_ball(
                 _augment(pts, project(shape, lam @ pts))).radius - r)
 
+    _check_cell_args(r, k, trials, seed)
     # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
     pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
 
@@ -434,15 +449,14 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
     """The open ball of radius reach, tangent at the projection of a tube
     point and centered past it, misses the shape: every point of a dense
     on-shape sample stays at least reach away from the center."""
-    from scipy.spatial import cKDTree  # most of the package's import time, so loaded here
-
     tau = reach(shape)
+    _check_cell_args(tau, 0, trials, seed)
     fin = finite_points(shape)
     if fin is not None:
         dense = fin
     else:
         dense = sample_rng(shape, 10_000, np.random.default_rng((seed, trials)))
-    tree = cKDTree(dense)
+    nearest = nearest_distance_query(dense)
     dim = ambient_dim(shape)
 
     def trial(rng):
@@ -460,7 +474,7 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
             except MedialAxisProximity:
                 continue
             c = p + tau * (x - p) / norm(x - p)
-            return tau - float(tree.query(c)[0]), 1e-6
+            return tau - nearest(c), 1e-6
         return None
 
     return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, trial)

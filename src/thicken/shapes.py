@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, MedialAxisProximity, UnsupportedShape
-from .euclid import EPS_MED, as_point, as_points, coincident_pair
+from .euclid import EPS_MED, as_point, as_points, coincident_pair, row_norms
 
 __all__ = [
     "Shape",
@@ -32,6 +32,7 @@ __all__ = [
     "finite_points",
     "sample",
     "sample_rng",
+    "sample_patch",
     "estimate_reach",
     "shape_label",
 ]
@@ -48,11 +49,21 @@ class Shape:
     kinds), which size the reach estimator's witness pool. Callers go through
     the module functions, which check the argument is a shape and validate
     points. Samplers draw h * rng.random(m): rng.uniform(0, h, m)'s floats, cheaper.
+
+    ``sample_patch(center, radius, count, rng)`` returns the rows of
+    ``sample(count, rng)`` within Euclidean ``radius`` of ``center``, in order.
+    An override must return those very rows and leave ``rng`` in the same
+    state: it draws the same arrays in the same order and only skips the
+    coordinates of draws that cannot land in the patch.
     """
 
     def finite_points(self):
         """The shape's points as a (k, n) array when it is finite, else None."""
         return None
+
+    def sample_patch(self, center, radius, count, rng):
+        cand = self.sample(count, rng)
+        return cand[row_norms(cand - center) <= radius]
 
 
 class _RoundSphere(Shape):
@@ -298,22 +309,51 @@ class Torus(Shape):
         return spine + v * (self.minor / vn)
 
     def sample(self, count, rng):
+        return self._draw(count, rng)
+
+    def sample_patch(self, center, radius, count, rng):
+        # sample's draws; coordinates only for the accepted draws inside the
+        # (theta, phi) window of every point within radius. theta: pivot the
+        # z-axis, in the xy-plane, where the torus point is at least R - rho
+        # out and distances only shrink. phi: pivot the spine point in the
+        # meridian half-plane of the torus point, where it is rho away and
+        # the center, rotated into that half-plane, no farther than before.
+        # The window's distance takes a 1e-9 relative slack past the
+        # rounding of the coordinates and of the exact test.
         R, rho = self.major, self.minor
-        out = np.empty((count, 3))
+        cx, cy, cz = map(float, center)
+        axial = math.hypot(cx, cy)
+        th_c = math.atan2(cy, cx) % (2.0 * math.pi)
+        ph_c = math.atan2(cz, axial - R) % (2.0 * math.pi)
+        dist = radius + 1e-9 * (R + rho + axial + abs(cz))
+        w_th = _angle_window(dist, (R - rho) * axial)
+        w_ph = _angle_window(dist, rho * math.hypot(axial - R, cz))
+        pts = self._draw(count, rng, lambda th, ph: _in_window(th, th_c, w_th)
+                         & _in_window(ph, ph_c, w_ph))
+        return pts[row_norms(pts - center) <= radius]
+
+    def _draw(self, count, rng, window=None):
+        """Points of `count` draws of uniform angles thinned to the area
+        element, or of those among them whose (theta, phi) pass `window`."""
+        R, rho = self.major, self.minor
+        parts = []
         got = 0
         while got < count:
             m = max(64, 2 * (count - got))
             th = 2.0 * math.pi * rng.random(m)
             ph = 2.0 * math.pi * rng.random(m)
-            keep = (R + rho) * rng.random(m) < (R + rho * np.cos(ph))
-            th, ph = th[keep], ph[keep]
-            take = min(th.size, count - got)
-            ring = R + rho * np.cos(ph[:take])
-            out[got:got + take, 0] = ring * np.cos(th[:take])
-            out[got:got + take, 1] = ring * np.sin(th[:take])
-            out[got:got + take, 2] = rho * np.sin(ph[:take])
-            got += take
-        return out
+            cos_ph = np.cos(ph)
+            sel = np.flatnonzero((R + rho) * rng.random(m) < (R + rho * cos_ph))[:count - got]
+            got += sel.size
+            if window is not None:
+                sel = sel[window(th[sel], ph[sel])]
+            ring = R + rho * cos_ph[sel]
+            pts = np.empty((sel.size, 3))
+            pts[:, 0] = ring * np.cos(th[sel])
+            pts[:, 1] = ring * np.sin(th[sel])
+            pts[:, 2] = rho * np.sin(ph[sel])
+            parts.append(pts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def bounding_box(self):
         e = self.major + self.minor
@@ -410,6 +450,23 @@ class FinitePointSet(Shape):
         return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
 
+def _angle_window(dist, scale):
+    """Half-width, plus 1e-9, of the angle window about a center that holds
+    every point within `dist` of it. Two points at distances q and q' from a
+    pivot, an angle t apart about it, lie at least 2 sqrt(q q') sin(|t| / 2)
+    apart, so a point within dist has |t| <= 2 asin(dist / (2 sqrt(scale)))
+    for any scale <= q q'; pi (no window) where that bound covers the turn."""
+    x = dist / (2.0 * math.sqrt(scale)) if scale > 0 else math.inf
+    return math.pi if x >= 1.0 else 2.0 * math.asin(x) + 1e-9
+
+
+def _in_window(angle, center, half_width):
+    """Mask of the angles within half_width of center around the circle, both
+    in [0, 2 pi]; a half-width of pi passes every angle."""
+    off = np.abs(angle - center)
+    return (off <= half_width) | (off >= 2.0 * math.pi - half_width)
+
+
 def _pick(points, count, rng):
     """`count` uniform rows; one row takes rng.integers' cheaper scalar path, same draw."""
     if count == 1:
@@ -468,11 +525,22 @@ def project(shape, x) -> np.ndarray:
     return _shape(shape).project(as_point(x, dim=shape.ambient_dim))
 
 
-def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` on-shape points using the supplied generator."""
+def _check_count(count) -> None:
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
+
+
+def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` on-shape points using the supplied generator."""
+    _check_count(count)
     return _shape(shape).sample(count, rng)
+
+
+def sample_patch(shape, center, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The rows of sample_rng(shape, count, rng) within Euclidean `radius` of
+    `center`, in order, leaving rng as sample_rng does."""
+    _check_count(count)
+    return _shape(shape).sample_patch(center, radius, count, rng)
 
 
 def sample(shape, count: int, seed: int) -> np.ndarray:

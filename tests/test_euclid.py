@@ -10,6 +10,7 @@ from thicken.euclid import (
     coincident_rows,
     diameter,
     max_row_norm,
+    nearest_distance_query,
     norm,
     row_norms,
     threshold_compare,
@@ -142,3 +143,49 @@ def test_threshold_compare_band_scales_with_threshold():
     assert not threshold_compare(1000.0 + 5e-6, 1000.0, strict=False)
     with pytest.raises(ValueError):
         threshold_compare(np.inf, 1.0, strict=False)
+
+
+def _point_sets(rng, dim):
+    # random clouds over six decades, a coarse grid with exact ties and
+    # duplicate rows, and a round sphere whose center ties with every row
+    for scale in (1e-3, 1.0, 1e3):
+        yield rng.normal(size=(int(rng.integers(50, 1500)), dim)) * scale
+    grid = rng.integers(-3, 4, size=(400, dim)).astype(float)
+    yield grid
+    sphere = rng.normal(size=(1000, dim))
+    yield sphere / np.linalg.norm(sphere, axis=1, keepdims=True) * 2.5
+
+
+def _queries(rng, pts):
+    n = pts.shape[1]
+    spread = float(np.abs(pts).max())
+    return np.concatenate((
+        rng.normal(size=(3000, n)) * spread,
+        pts[rng.integers(0, pts.shape[0], 500)],                  # distance 0
+        rng.integers(-3, 4, size=(500, n)) * 0.5,                  # grid ties
+        rng.normal(size=(300, n)) * 1e-16,                         # at the sphere's center
+        rng.normal(size=(200, n)) * 1e3 * spread))
+
+
+def test_nearest_distance_query_matches_ckdtree_bit_for_bit():
+    # cKDTree is the reference the empty-ball check used; numpy must give
+    # its very floats, in dims 1-6 (plain sums) and 8-12 (cKDTree's lanes)
+    from scipy.spatial import cKDTree
+
+    from thicken import FinitePointSet, ZeroSphere
+    from thicken.shapes import finite_points
+
+    rng = np.random.default_rng(2024)
+    sets = [pts for dim in range(1, 7) for pts in _point_sets(rng, dim)]
+    sets += [rng.normal(size=(300, dim)) for dim in (8, 9, 12)]
+    sets += [finite_points(ZeroSphere()),
+             finite_points(FinitePointSet(((0.0, 0.0), (3.0, 0.0), (0.0, 4.0), (1.0, 1.0))))]
+    checked = 0
+    for pts in sets:
+        queries = _queries(rng, pts)
+        want, _ = cKDTree(pts).query(queries)
+        query = nearest_distance_query(pts)
+        got = np.array([query(c) for c in queries])
+        assert (got == want).all()
+        checked += queries.shape[0]
+    assert checked >= 10**5

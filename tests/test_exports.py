@@ -39,11 +39,40 @@ def test_library_raises_no_bare_value_or_runtime_error():
     assert not bare
 
 
-def test_import_loads_no_scipy():
-    # scipy.spatial is most of the import time and memory; only the
-    # empty-ball checker and the reach estimator use it, and import it there
+def _scipy_modules_after(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, thicken; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy.spatial is most of the import time and memory; only the reach
+    # estimator uses it, and imports it there
+    assert _scipy_modules_after("import sys, thicken") == "[]"
+    # a VR campaign, the empty-ball check included, runs on numpy alone
+    campaign = ("import sys\nfrom thicken import parse_config, run_campaign\n"
+                "for shape in ('circle radius=1', 'torus major=3 minor=1'):\n"
+                "    run_campaign(parse_config(f'shape={shape} r=0.5 k=3 trials=20 seed=1 "
+                "flavor=vr'))")
+    assert _scipy_modules_after(campaign) == "[]"
+
+
+def test_scipy_is_imported_only_by_the_reach_estimator():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owner = {id(inner): name for name, fn in scopes for inner in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append((path.name, owner.get(id(node))))
+    assert importers == [("shapes.py", "estimate_reach")]

@@ -5,7 +5,9 @@ Here scales sit at the decisive value shifted by a few ambiguity bands on
 either side of the shortcut cut-off (twice the band), and far from it, and
 every answer, or AmbiguousPredicate, must be the one threshold_compare gives
 on the quantity itself: the diameter, the smallest enclosing ball radius, or
-the cover over the witnesses plus the projected ball center.
+the cover over the witnesses plus the projected ball center. Each predicate
+is also monotone in the scale: True at one scale stays True, or turns
+ambiguous, at every larger one.
 """
 import numpy as np
 import pytest
@@ -65,9 +67,14 @@ def _outcome(decide):
         return "ambiguous"
 
 
+def _answers(predicate, pts):
+    """Outcomes on the point array and on the same Simplex."""
+    return (_outcome(lambda: predicate(pts)),
+            _outcome(lambda: predicate(Simplex(tuple(map(tuple, pts))))))
+
+
 def _check(predicate, pts, expected):
-    assert _outcome(lambda: predicate(pts)) == expected
-    assert _outcome(lambda: predicate(Simplex(tuple(map(tuple, pts))))) == expected
+    assert _answers(predicate, pts) == (expected, expected)
 
 
 @settings(max_examples=400, deadline=None)
@@ -109,3 +116,45 @@ def test_cech_intrinsic_shortcut_matches_full_cover_compare(pts, bands, strict, 
     spec = ComplexSpec("cech-intrinsic", 2.0 * half, strict=strict, shape=shape)
     expected = _outcome(lambda: threshold_compare(cover, half, strict))
     _check(lambda s: is_cech_simplex_intrinsic(s, spec, witnesses), pts, expected)
+
+
+def _monotone(answer_at, quantity, low, high):
+    # True at a scale stays True, or turns ambiguous, at every larger scale
+    s, s_up = sorted((_threshold(quantity, low), _threshold(quantity, high)))
+    assume(s_up > s)
+    for before, after in zip(answer_at(s), answer_at(s_up)):
+        if before is True:
+            assert after in (True, "ambiguous")
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), offsets, offsets, st.booleans())
+def test_vr_predicate_is_monotone_in_scale(pts, low, high, strict):
+    def answers(scale):
+        spec = ComplexSpec("vr", scale, strict=strict)
+        return _answers(lambda x: is_vr_simplex(x, spec), pts)
+
+    _monotone(answers, diameter(pts), low, high)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), offsets, offsets, st.booleans())
+def test_cech_ambient_predicate_is_monotone_in_scale(pts, low, high, strict):
+    def answers(scale):
+        spec = ComplexSpec("cech-ambient", scale, strict=strict)
+        return _answers(lambda x: is_cech_simplex_ambient(x, spec), pts)
+
+    _monotone(answers, 2.0 * min_enclosing_ball(pts).radius, low, high)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), offsets, offsets, st.booleans(), st.integers(1, 64), st.integers(0, 2**16))
+def test_cech_intrinsic_predicate_is_monotone_in_scale(pts, low, high, strict, count, seed):
+    shape = SHAPES[pts.shape[1]]
+    witnesses = sample(shape, count, seed)
+
+    def answers(scale):
+        spec = ComplexSpec("cech-intrinsic", scale, strict=strict, shape=shape)
+        return _answers(lambda x: is_cech_simplex_intrinsic(x, spec, witnesses), pts)
+
+    _monotone(answers, 2.0 * _full_cover(pts, shape, witnesses), low, high)

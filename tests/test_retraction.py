@@ -263,6 +263,14 @@ PINNED_ROWS = {
         lambda: check_empty_ball(Torus(3.0, 1.0), 200, 7),
     "FedererLipschitz,sphere(dim=3,R=1),0.5,0,200,0,0,-0.323086097556,7":
         lambda: check_federer(Sphere(3, 1.0), 0.5, 200, 7),
+    "VrSimplex,torus(R=3,rho=1),0.5,4,200,0,0,-0.0710834456444,7":
+        lambda: check_vr_simplex_lemma(Torus(3.0, 1.0), 0.5, 4, 200, 7),
+    "VrTub,ellipse(a=2,b=1),0.25,4,200,0,0,-0.240762031288,7":
+        lambda: check_vr_tub_lemma(Ellipse(2.0, 1.0), 0.25, 4, 200, 7),
+    "CechTub,circle(R=1),0.45,4,200,0,0,-0.369595773408,7":
+        lambda: check_cech_tub_lemma(Circle(1.0), 0.45, 4, 200, 7),
+    "EmptyBall,sphere(dim=5,R=2),2,0,200,0,0,2.90212298637e-13,7":
+        lambda: check_empty_ball(Sphere(5, 2.0), 200, 7),
 }
 
 
@@ -351,6 +359,29 @@ RANGED_CHECKERS = {
 def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k):
     with pytest.raises(InvalidInput):
         RANGED_CHECKERS[lemma](r, k)
+
+
+# arguments the checkers must reject before drawing a dense sample, a
+# witness pool or a simplex-size cap from them
+BAD_ARGUMENTS = {
+    "empty-ball trials": lambda: check_empty_ball(Torus(3.0, 1.0), -1, 1),
+    "empty-ball seed": lambda: check_empty_ball(Circle(1.0), 5, -1),
+    "empty-ball fractional trials": lambda: check_empty_ball(Circle(1.0), 2.5, 1),
+    "intrinsic trials": lambda: check_cech_simplex_lemma(Circle(1.0), 0.5, 3, -2, 1,
+                                                         flavor="intrinsic"),
+    "intrinsic seed": lambda: check_cech_simplex_lemma(Circle(1.0), 0.5, 3, 2, -1,
+                                                       flavor="intrinsic"),
+    "fractional k": lambda: check_vr_tub_lemma(Circle(1.0), 0.5, 2.5, 5, 1),
+    "fractional k, finite": lambda: check_vr_tub_lemma(
+        FinitePointSet(((0.0, 0.0), (0.3, 0.0), (0.0, 0.4))), 0.5, 2.5, 5, 1),
+    "fractional trials": lambda: check_convex_lemma(Circle(1.0), 0.5, 2, 5.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_checkers_validate_arguments_before_set_up(case):
+    with pytest.raises(InvalidInput):
+        BAD_ARGUMENTS[case]()
 
 
 def test_strict_variant_runs_clean():

@@ -24,6 +24,8 @@ from thicken import (
     sample_rng,
     shape_label,
 )
+from thicken.euclid import row_norms
+from thicken.shapes import sample_patch
 
 ALL_SHAPES = (
     Circle(1.0),
@@ -59,9 +61,10 @@ def test_constructor_guards():
     lambda s: distance_to_shape(s, [0.0, 0.0]),
     lambda s: project(s, [1.0, 0.0]),
     lambda s: sample_rng(s, 3, np.random.default_rng(0)),
+    lambda s: sample_patch(s, np.zeros(2), 1.0, 3, np.random.default_rng(0)),
     lambda s: estimate_reach(s, 10),
 ), ids=("ambient_dim", "reach", "shape_label", "distance_to_shape", "project",
-        "sample_rng", "estimate_reach"))
+        "sample_rng", "sample_patch", "estimate_reach"))
 def test_shape_functions_reject_non_shapes(call):
     with pytest.raises(UnsupportedShape):
         call(object())
@@ -119,6 +122,26 @@ def test_sample_count_must_be_positive():
             sample(Circle(1.0), count, seed=1)
         with pytest.raises(InvalidInput, match="count must be >= 1"):
             sample_rng(Circle(1.0), count, np.random.default_rng(1))
+        with pytest.raises(InvalidInput, match="count must be >= 1"):
+            sample_patch(Torus(3.0, 1.0), np.zeros(3), 1.0, count, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=shape_label)
+def test_sample_patch_is_sample_then_filter(shape):
+    # the same rows and generator state as drawing the whole-shape batch and
+    # keeping the rows within the radius (tests/test_shape_properties.py
+    # covers the torus window's edges)
+    for seed in range(8):
+        for count in (1, 128, 1000):
+            rng = np.random.default_rng(seed)
+            center = sample_rng(shape, 1, rng)[0]
+            radius = (0.1, 0.5, 1.5, 5.0)[seed % 4] * reach(shape)
+            ref, new = np.random.default_rng((seed, count)), np.random.default_rng((seed, count))
+            cand = sample_rng(shape, count, ref)
+            want = cand[row_norms(cand - center) <= radius]
+            got = sample_patch(shape, center, radius, count, new)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert new.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_is_seed_deterministic():
