@@ -160,8 +160,10 @@ def _vertices(s) -> np.ndarray:
 
 
 def _square_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """Square distances between the rows of a (k, n) array, or within each
+    stack of a (g, k, n) array."""
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return (diff * diff).sum(axis=-1)
 
 
 def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
@@ -243,6 +245,44 @@ def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence) -> bool
     centers = as_points(witnesses, dim=n) if len(witnesses) > 0 else np.empty((0, n))
     cover = intrinsic_cover(verts, centers, spec.shape, half)
     return cover != math.inf and threshold_compare(cover, half, spec.strict)
+
+
+def bound_verdicts(stacks: np.ndarray, spec: ComplexSpec, witnesses: np.ndarray) -> np.ndarray:
+    """The bound shortcuts of is_simplex on every support of a (g, k, n)
+    array of g supports at once, support i witnessed by witnesses[i] (read
+    by the intrinsic flavor only): 1 where the bounds prove membership, 0
+    where they disprove it, -1 where is_simplex must decide. Each bound is
+    computed with the scalar predicate's operations, so a decided support
+    gets the answer is_simplex gives; a dimension past the min-ball limit
+    decides nothing, so that is_simplex raises."""
+    g, k, n = stacks.shape
+    out = np.full(g, -1, dtype=np.int8)
+    if spec.flavor != "vr" and n > _MAX_BALL_DIM:
+        return out
+    if spec.flavor == "cech-intrinsic":
+        half = spec.scale / 2.0
+        diff = witnesses[:, None, :] - stacks
+        cover = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+        out[cover <= half - 2.0 * band(half)] = 1
+        return out
+    d2 = _square_distances(stacks)
+    if spec.flavor == "vr":
+        diam = np.sqrt(d2.max(axis=(1, 2)))
+        band2 = 2.0 * band(spec.scale)
+        out[diam >= spec.scale + band2] = 0
+        out[diam <= spec.scale - band2] = 1
+        return out
+    half = spec.scale / 2.0
+    band2 = 2.0 * band(half)
+    if k == 1:
+        out[:] = 1 if 0.0 <= half - band2 else -1
+        return out
+    centered = stacks - (stacks.sum(axis=1) / k)[:, None, :]
+    # in is_cech_simplex_ambient's order: best vertex, half diameter, centroid
+    out[np.sqrt((centered * centered).sum(axis=2).max(axis=1)) <= half - band2] = 1
+    out[0.5 * np.sqrt(d2.max(axis=(1, 2))) >= half + band2] = 0
+    out[np.sqrt(d2.max(axis=2).min(axis=1)) <= half - band2] = 1
+    return out
 
 
 def is_simplex(s, spec: ComplexSpec, witnesses: Sequence = ()) -> bool:

@@ -167,15 +167,20 @@ def coincident_rows(a, b) -> np.ndarray:
     return (np.abs(a[:, None, :] - b[None, :, :]) <= _COINCIDENCE_TOL).all(axis=2)
 
 
+def apart_by_first_coordinate(stacks: np.ndarray) -> np.ndarray:
+    """Mask of the (g, k, n) array's stacks whose sorted first coordinates
+    all differ by more than 1e-12, so that their rows are distinct: the
+    quick test of coincident_pair, on every stack at once."""
+    xs = np.sort(stacks[:, :, 0], axis=1)
+    return ((xs[:, 1:] - xs[:, :-1]) > _COINCIDENCE_TOL).all(axis=1)
+
+
 def coincident_pair(points):
     """First pair (i, j), i < j in row-major order, of coinciding rows of
     `points`; None when all rows are distinct."""
     points = np.asarray(points, dtype=float)
-    # rows are distinct if their sorted first coordinates all differ by over 1e-12
-    if points.ndim == 2 and points.shape[1]:
-        xs = np.sort(points[:, 0])
-        if ((xs[1:] - xs[:-1]) > _COINCIDENCE_TOL).all():
-            return None
+    if points.ndim == 2 and points.shape[1] and apart_by_first_coordinate(points[None])[0]:
+        return None
     i, j = np.nonzero(coincident_rows(points, points))
     upper = np.flatnonzero(i < j)
     if upper.size == 0:

@@ -13,23 +13,24 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Callable
 
 import numpy as np
 
-from .complexes import ComplexSpec, cover_radius, intrinsic_cover, is_simplex, min_enclosing_ball
+from .complexes import (ComplexSpec, bound_verdicts, cover_radius, intrinsic_cover, is_simplex,
+                        min_enclosing_ball)
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
-from .euclid import (band, coincident_pair, coincident_rows, max_row_norm,
-                     nearest_distance_query, norm, row_norms)
+from .euclid import (apart_by_first_coordinate, band, coincident_pair, coincident_rows,
+                     max_row_norm, nearest_distance_query, norm, row_norms)
 from .shapes import (
     ambient_dim,
     distance_to_shape,
     finite_points,
     project,
     reach,
-    sample_patch,
     sample_rng,
+    sample_stacked,
     shape_label,
 )
 from .thickening import ThickeningPoint, linear_projection_f, make_thickening_point
@@ -78,15 +79,22 @@ class LemmaReport:
 
 def retract(tp: ThickeningPoint) -> np.ndarray:
     """Nearest-point projection of the barycenter: the on-shape point that the
-    straight-line homotopy contracts toward.
+    straight-line homotopy contracts toward, as a read-only array.
 
     Guaranteed defined when the scale stays below the reach (twice the reach
     for the min-ball flavors); beyond that the projection may hit a nearest-
-    point tie and MedialAxisProximity propagates to the caller."""
+    point tie and MedialAxisProximity propagates to the caller. The point
+    is frozen, so the projection is computed once and kept on it; a
+    MedialAxisProximity is raised again on every call."""
     spec = tp.spec
     if spec.shape is None:
         raise InvalidInput("retract needs a spec with a shape")
-    return project(spec.shape, linear_projection_f(tp))
+    p = getattr(tp, "_retraction", None)
+    if p is None:
+        p = project(spec.shape, linear_projection_f(tp))
+        p.flags.writeable = False
+        object.__setattr__(tp, "_retraction", p)
+    return p
 
 
 def homotopy_H(tp: ThickeningPoint, t: float) -> ThickeningPoint:
@@ -117,61 +125,127 @@ _MAX_ATTEMPTS = 64
 _PATCH_BUDGET = 24
 
 
-def _patch_points(shape, center, radius, count, rng, exclude_center=False):
-    """`count` on-shape points within Euclidean `radius` of `center`, or None
-    if the sampling budget runs out (continuous) / too few exist (finite)."""
+def _finite_patch(fin, center, radius, count, rng, exclude_center):
+    """`count` of the rows of `fin` within Euclidean `radius` of `center`,
+    center itself left out with `exclude_center`, picked on rng without
+    replacement; None when fewer exist."""
+    keep = row_norms(fin - center) <= radius
+    if exclude_center:
+        keep &= ~coincident_rows(fin, center[None, :])[:, 0]
+    sel = fin[keep]
+    if sel.shape[0] < count:
+        return None
+    if count == 1:  # rng.integers draws what a one-point rng.choice draws
+        i = rng.integers(0, sel.shape[0])
+        return sel[i:i + 1]
+    return sel[rng.choice(sel.shape[0], size=count, replace=False)]
+
+
+def _draw_patches(shape, rngs, centers, radius, needs, exclude_center=False):
+    """For each trial i, needs[i] on-shape points within Euclidean `radius`
+    of centers[i], drawn on rngs[i], or None if the sampling budget runs out
+    (continuous) / too few exist (finite). A continuous shape draws
+    whole-shape batches of 128 points, doubling up to 4096, and keeps the
+    points within the radius in draw order. Every trial still short in a
+    round draws that round's batch size, so a round is one stacked draw."""
     fin = finite_points(shape)
     if fin is not None:
-        keep = row_norms(fin - center) <= radius
-        if exclude_center:
-            keep &= ~coincident_rows(fin, center[None, :])[:, 0]
-        sel = fin[keep]
-        if sel.shape[0] < count:
-            return None
-        if count == 1:  # rng.integers draws what a one-point rng.choice draws
-            i = rng.integers(0, sel.shape[0])
-            return sel[i:i + 1]
-        return sel[rng.choice(sel.shape[0], size=count, replace=False)]
-    out = []
-    need = count
+        return [_finite_patch(fin, c, radius, n, rng, exclude_center)
+                for rng, c, n in zip(rngs, centers, needs)]
+    parts = [[] for _ in rngs]
+    need = np.array(needs)
+    todo = np.arange(len(rngs))
     batch = 128
     for _ in range(_PATCH_BUDGET):
-        keep = sample_patch(shape, center, radius, batch, rng)
-        if keep.shape[0]:
-            out.append(keep[:need])
-            need -= min(keep.shape[0], need)
-        if need <= 0:
-            return out[0] if len(out) == 1 else np.concatenate(out)
+        rows, take = sample_stacked(shape, [rngs[i] for i in todo.tolist()], batch,
+                                    centers[todo], radius, need[todo])
+        got = take > 0
+        for i, start, n in zip(todo[got].tolist(), (np.cumsum(take) - take)[got].tolist(),
+                               take[got].tolist()):
+            parts[i].append(rows[start:start + n])
+        need[todo] -= take
+        todo = todo[need[todo] > 0]
+        if not todo.size:
+            break
         batch = min(4096, batch * 2)
-    return None
+    return [None if short else out[0] if len(out) == 1 else np.concatenate(out)
+            for out, short in zip(parts, need.tolist())]
 
 
-def _sample_simplex(shape, natoms, spec: ComplexSpec, rng):
-    """Support of `natoms` distinct on-shape points that is a simplex of
-    `spec`, drawn around a fresh on-shape point y.
+def _sample_simplices(shape, natoms, spec: ComplexSpec, rngs):
+    """For each trial i, a support of natoms[i] distinct on-shape points
+    that is a simplex of `spec`, drawn on rngs[i] around a fresh on-shape
+    point y, as (points, y); None when the attempts run out; or the
+    AmbiguousPredicate that the membership test raised.
 
     Intrinsic flavor: the support lies in the radius-scale/2 patch of y, so
     y witnesses it by construction. Other flavors: y is the first vertex;
     odd attempts draw companions from the tight patch (radius scale/2, valid
     by the triangle inequality), even attempts from the full patch (radius
-    scale) so every valid simplex containing y stays reachable. Returns
-    (points, y), or None when the attempts run out; an AmbiguousPredicate
-    propagates."""
+    scale) so every valid simplex containing y stays reachable.
+
+    The trials advance in lockstep: an attempt draws the y of every trial
+    still open, then their companions, in stacked draws. Each trial makes
+    its own draws in its own order, so its outcome is the one it has run
+    alone."""
     intrinsic = spec.flavor == "cech-intrinsic"
+    out = [None] * len(rngs)
+    todo = list(range(len(rngs)))
     for attempt in range(_MAX_ATTEMPTS):
-        y = sample_rng(shape, 1, rng)[0]
+        if not todo:
+            break
+        sub = [rngs[i] for i in todo]
+        ys = sample_stacked(shape, sub, 1)[0]
+        sizes = [natoms[i] for i in todo]
         if intrinsic:
-            pts = _patch_points(shape, y, spec.scale / 2, natoms, rng)
-        elif natoms == 1:
-            pts = y[None, :]
+            supports = _draw_patches(shape, sub, ys, spec.scale / 2, sizes)
         else:
             radius = spec.scale if attempt % 2 == 0 else spec.scale / 2
-            rest = _patch_points(shape, y, radius, natoms - 1, rng, exclude_center=True)
-            pts = None if rest is None else np.concatenate((y[None, :], rest))
-        if (pts is not None and coincident_pair(pts) is None
-                and is_simplex(pts, spec, y[None, :])):
-            return pts, y
-    return None
+            supports = [ys[j:j + 1] for j in range(len(todo))]
+            multi = [j for j, n in enumerate(sizes) if n > 1]
+            if multi:
+                rests = _draw_patches(shape, [sub[j] for j in multi], ys[multi], radius,
+                                      [sizes[j] - 1 for j in multi], exclude_center=True)
+                for j, rest in zip(multi, rests):
+                    supports[j] = None if rest is None else np.concatenate((supports[j], rest))
+        still = []
+        for i, y, pts, verdict in zip(todo, ys, supports, _simplex_verdicts(supports, spec, ys)):
+            if verdict is False:
+                still.append(i)
+            else:
+                out[i] = (pts, y) if verdict is True else verdict
+        todo = still
+    return out
+
+
+def _simplex_verdicts(supports, spec: ComplexSpec, ys):
+    """For each candidate support (None where there is none), drawn around
+    the row of ys: True if its rows are distinct and it is a simplex of
+    `spec` witnessed by that row, False if not, or the AmbiguousPredicate
+    that is_simplex raised. The coincidence test and the predicate's bounds
+    run stacked over the supports of each size; only the supports they
+    leave open go to coincident_pair and is_simplex one by one."""
+    verdicts = [False] * len(supports)
+    by_size = {}
+    for j, pts in enumerate(supports):
+        if pts is not None:
+            by_size.setdefault(pts.shape[0], []).append(j)
+    for js in by_size.values():
+        stacks = np.stack([supports[j] for j in js])
+        apart = apart_by_first_coordinate(stacks).tolist()
+        bounds = bound_verdicts(stacks, spec, ys[js]).tolist()
+        for j, distinct, bound in zip(js, apart, bounds):
+            pts = supports[j]
+            if not distinct and coincident_pair(pts) is not None:
+                continue
+            if bound >= 0:
+                verdicts[j] = bound == 1
+                continue
+            try:
+                verdicts[j] = bool(is_simplex(pts, spec, ys[j:j + 1]))
+            except AmbiguousPredicate as exc:
+                verdicts[j] = exc
+    return verdicts
 
 
 def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int) -> int:
@@ -237,20 +311,35 @@ def _check_seed(seed) -> None:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
 
 
+# trials run in lockstep, and the stretch of trial streams hashed at once
+_BLOCK = 256
+# free generator pools of _trial_rngs, each a list reseeded block by block
+_POOLS = []
+
+
 def _trial_rngs(seed: int, trials: int):
-    """Yield for t in range(trials) a generator on the stream of default_rng((seed, t)),
-    reseeding one generator, as building each costs more than a typical trial."""
+    """Yield for t in range(trials) a generator on the stream of
+    default_rng((seed, t)). The generators of a block of _BLOCK trials
+    (t // _BLOCK) are distinct, so a block's can be held at once; they come
+    from a pool that is reseeded block by block and kept between calls, as
+    building a generator costs more than a typical trial."""
     _check_seed(seed)
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32 and trials <= 2**32):
         yield from (np.random.default_rng((seed, t)) for t in range(trials))
         return
-    rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, trials, 4096):
-        for state, inc in _pcg_states(seed, np.arange(start, min(trials, start + 4096),
-                                                      dtype=np.uint32)):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                       "state": {"state": state, "inc": inc}, "uinteger": 0}
-            yield rng
+    pool = _POOLS.pop() if _POOLS else []
+    try:
+        for start in range(0, trials, _BLOCK):
+            ts = np.arange(start, min(trials, start + _BLOCK), dtype=np.uint32)
+            pool.extend(np.random.Generator(np.random.PCG64(0))
+                        for _ in range(ts.size - len(pool)))
+            for rng, (state, inc) in zip(pool, _pcg_states(seed, ts)):
+                rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                           "state": {"state": state, "inc": inc},
+                                           "uinteger": 0}
+                yield rng
+    finally:
+        _POOLS.append(pool)
 
 
 def _check_cell_args(r, k, trials, seed) -> None:
@@ -265,27 +354,38 @@ def _check_cell_args(r, k, trials, seed) -> None:
     _check_seed(seed)
 
 
-def _run_cell(lemma_id, shape, r, k, trials, seed, trial_fn) -> LemmaReport:
-    """Check the arguments, run `trial_fn(rng)` on the RNG stream (seed, t)
-    of each trial index t and aggregate the outcomes: (margin, tol), None
-    for a starved trial, or an AmbiguousPredicate raised for an ambiguous
-    one."""
+def _one_by_one(trial_fn):
+    """run_block for trials that run alone: trial_fn(rng) on each generator."""
+    def run_block(rngs):
+        for rng in rngs:
+            try:
+                yield trial_fn(rng)
+            except AmbiguousPredicate as exc:
+                yield exc
+    return run_block
+
+
+def _run_cell(lemma_id, shape, r, k, trials, seed, run_block) -> LemmaReport:
+    """Check the arguments, run the trials in blocks of _BLOCK and aggregate
+    their outcomes. run_block(rngs) gives the outcomes of one block's
+    trials, whose generators rngs are on the streams (seed, t): (margin,
+    tol), None for a starved trial, or the AmbiguousPredicate of an
+    ambiguous one."""
     _check_cell_args(r, k, trials, seed)
     amb = starved = viol = 0
     worst = -math.inf
-    for rng in _trial_rngs(seed, trials):
-        try:
-            outcome = trial_fn(rng)
-        except AmbiguousPredicate:
-            amb += 1
-            continue
-        if outcome is None:
-            starved += 1
-            continue
-        margin, tol = outcome
-        if margin > tol:
-            viol += 1
-        worst = max(worst, margin)
+    streams = _trial_rngs(seed, trials)
+    while rngs := list(islice(streams, _BLOCK)):
+        for outcome in run_block(rngs):
+            if isinstance(outcome, AmbiguousPredicate):
+                amb += 1
+            elif outcome is None:
+                starved += 1
+            else:
+                margin, tol = outcome
+                if margin > tol:
+                    viol += 1
+                worst = max(worst, margin)
     ok = trials - amb - starved
     return LemmaReport(
         lemma_id=lemma_id, shape=shape_label(shape), r=float(r), k=int(k),
@@ -339,23 +439,23 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
             bound = rho
         return margin, band(bound)
 
-    return _run_cell("Convex", shape, r, k, trials, seed, trial)
+    return _run_cell("Convex", shape, r, k, trials, seed, _one_by_one(trial))
 
 
 def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin) -> LemmaReport:
     """Cell whose trials sample a simplex of 1..k+1 atoms of `spec` (see
-    _sample_simplex), draw convex weights and score `margin(pts, weights, y)`
-    against tolerance at r, y being the on-shape point the support was drawn
-    around. A margin whose projection lands on the medial axis counts as inf."""
+    _sample_simplices), draw convex weights and score `margin(pts, weights,
+    y)` against tolerance at r, y being the on-shape point the support was
+    drawn around. A margin whose projection lands on the medial axis counts
+    as inf. A block's trials draw their supports in lockstep and are scored
+    one by one."""
     _check_cell_args(r, k, trials, seed)
     cap = _max_feasible_atoms(shape, spec, k + 1)
     tol = band(r)
 
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, cap))
-        drawn = _sample_simplex(shape, natoms, spec, rng)
-        if drawn is None:
-            return None
+    def score(rng, natoms, drawn):
+        if drawn is None or isinstance(drawn, AmbiguousPredicate):
+            return drawn
         pts, y = drawn
         lam = _dirichlet_weights(natoms, rng)
         try:
@@ -363,7 +463,11 @@ def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin
         except MedialAxisProximity:
             return math.inf, tol
 
-    return _run_cell(lemma_id, shape, r, k, trials, seed, trial)
+    def run_block(rngs):
+        natoms = [1 + int(rng.integers(0, cap)) for rng in rngs]
+        return map(score, rngs, natoms, _sample_simplices(shape, natoms, spec, rngs))
+
+    return _run_cell(lemma_id, shape, r, k, trials, seed, run_block)
 
 
 def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
@@ -477,7 +581,7 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
             return tau - nearest(c), 1e-6
         return None
 
-    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, trial)
+    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, _one_by_one(trial))
 
 
 def check_federer(shape, r, trials, seed) -> LemmaReport:
@@ -505,7 +609,7 @@ def check_federer(shape, r, trials, seed) -> LemmaReport:
             return norm(px - py) - bound, band(bound)
         return None
 
-    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, trial)
+    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _one_by_one(trial))
 
 
 # ---------------------------------------------------------------------------

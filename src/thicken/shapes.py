@@ -33,6 +33,7 @@ __all__ = [
     "sample",
     "sample_rng",
     "sample_patch",
+    "sample_stacked",
     "estimate_reach",
     "shape_label",
 ]
@@ -43,27 +44,84 @@ class Shape:
 
     Each kind is a frozen dataclass whose fields are its descriptor
     parameters (``kind`` names it in configs). It supplies ``ambient_dim``,
-    ``reach`` and ``label``; ``distance(p)``, ``project(p)`` and
-    ``sample(count, rng)`` on validated input; ``bounding_box()``; and either
-    ``finite_points()`` (finite kinds) or ``intrinsic_measure()`` (continuous
-    kinds), which size the reach estimator's witness pool. Callers go through
-    the module functions, which check the argument is a shape and validate
-    points. Samplers draw h * rng.random(m): rng.uniform(0, h, m)'s floats, cheaper.
+    ``reach`` and ``label``; ``distance(p)`` and ``project(p)`` on validated
+    input; ``bounding_box()``; and either ``finite_points()`` (finite kinds)
+    or ``intrinsic_measure()`` (continuous kinds), which size the reach
+    estimator's witness pool. Callers go through the module functions, which
+    check the argument is a shape and validate points.
 
-    ``sample_patch(center, radius, count, rng)`` returns the rows of
-    ``sample(count, rng)`` within Euclidean ``radius`` of ``center``, in order.
-    An override must return those very rows and leave ``rng`` in the same
-    state: it draws the same arrays in the same order and only skips the
-    coordinates of draws that cannot land in the patch.
+    Sampling has one implementation per kind, the stacked sampler
+    ``sample_stacked(rngs, count, centers=None, radius=None, first=None)``:
+    for each generator in turn, the points of ``count`` draws on it, or with
+    ``centers`` the rows of those within Euclidean ``radius`` of that
+    generator's center, in order. ``sample(count, rng)`` and
+    ``sample_patch(center, radius, count, rng)`` are its one-generator case.
+    Each generator makes its own draws in its own order whatever else is
+    stacked with it, so its rows and final state do not depend on the
+    others; only the elementwise work between draws is stacked. Samplers
+    draw h * rng.random(m): rng.uniform(0, h, m)'s floats, cheaper.
     """
 
     def finite_points(self):
         """The shape's points as a (k, n) array when it is finite, else None."""
         return None
 
+    def sample(self, count, rng):
+        return self._draw_pass((rng,), count, None, None)[0]
+
     def sample_patch(self, center, radius, count, rng):
-        cand = self.sample(count, rng)
-        return cand[row_norms(cand - center) <= radius]
+        center = np.asarray(center, dtype=float)
+        pts = self._draw_pass((rng,), count, center[None, :], radius)[0]
+        return pts[row_norms(pts - center) <= radius]
+
+    def sample_stacked(self, rngs, count, centers=None, radius=None, first=None):
+        """(rows, counts): the rows of every generator of ``rngs`` in turn,
+        counts[i] of them from rngs[i], or only the first first[i] of them.
+        A request of more than _PASS_DRAWS candidates runs in passes of
+        whole generators, each filtered before the next, so memory does not
+        grow with the number of generators or with count."""
+        if not len(rngs):
+            return np.empty((0, self.ambient_dim)), np.zeros(0, np.intp)
+        step = max(1, _PASS_DRAWS // self._candidates(count))
+        rows, owners = [], []
+        for start in range(0, len(rngs), step):
+            sub = rngs[start:start + step]
+            pts, owner = self._draw_pass(sub, count, None if centers is None
+                                         else centers[start:start + step], radius)
+            if owner is None:
+                owner = (np.repeat(np.arange(len(sub)), count) if len(sub) > 1
+                         else np.zeros(len(pts), np.intp))
+            owner += start
+            if centers is not None:
+                keep = row_norms(pts - centers[owner]) <= radius
+                pts, owner = pts[keep], owner[keep]
+            if first is not None:
+                counts = np.bincount(owner - start, minlength=len(sub))
+                rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+                keep = rank < first[owner]
+                pts, owner = pts[keep], owner[keep]
+            rows.append(pts)
+            owners.append(owner)
+        if len(rows) > 1:
+            rows, owners = [np.concatenate(rows)], [np.concatenate(owners)]
+        return rows[0], np.bincount(owners[0], minlength=len(rngs))
+
+    def _candidates(self, count):
+        """Candidates one generator draws in the first round for `count`
+        points, the size of each array a pass holds per generator."""
+        return count
+
+    def _draw_pass(self, rngs, count, centers, radius):
+        """One pass: the points of `count` draws on each generator, in
+        generator order, and the generator index of each point, or None
+        when there is one generator or every generator has its `count`
+        rows. With centers, a kind may leave out points it proves are
+        beyond radius of their generator's center. A finite kind picks rows
+        on each generator in turn; continuous kinds stack."""
+        fin = self.finite_points()
+        if len(rngs) == 1:
+            return _pick(fin, count, rngs[0]), None
+        return np.concatenate([_pick(fin, count, rng) for rng in rngs]), None
 
 
 class _RoundSphere(Shape):
@@ -109,9 +167,9 @@ class Circle(_RoundSphere):
     def label(self) -> str:
         return f"circle(R={self.radius:g})"
 
-    def sample(self, count, rng):
-        th = 2.0 * math.pi * rng.random(count)
-        return np.column_stack([self.radius * np.cos(th), self.radius * np.sin(th)])
+    def _draw_pass(self, rngs, count, centers, radius):
+        th = (2.0 * math.pi * _uniforms(rngs, count)).ravel()
+        return np.column_stack([self.radius * np.cos(th), self.radius * np.sin(th)]), None
 
 
 @dataclass(frozen=True)
@@ -136,10 +194,18 @@ class Sphere(_RoundSphere):
     def label(self) -> str:
         return f"sphere(dim={self.dim},R={self.radius:g})"
 
-    def sample(self, count, rng):
-        g = rng.normal(size=(count, self.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g * self.radius
+    def _candidates(self, count):
+        return count * self.dim
+
+    def _draw_pass(self, rngs, count, centers, radius):
+        if len(rngs) == 1:
+            g = rngs[0].normal(size=(1, count, self.dim))
+        else:
+            g = np.empty((len(rngs), count, self.dim))
+            for rng, block in zip(rngs, g):
+                block[...] = rng.normal(size=(count, self.dim))
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        return (g * self.radius).reshape(-1, self.dim), None
 
 
 @dataclass(frozen=True)
@@ -243,21 +309,25 @@ class Ellipse(Shape):
             raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
         return foot
 
-    def sample(self, count, rng):
-        # angle proposal thinned to arc-length measure
+    def _candidates(self, count):
+        return _thinning_draws(count)
+
+    def _draw_pass(self, rngs, count, centers, radius):
+        # angle proposal thinned to arc-length measure; the cosines and sines
+        # of the accepted angles are those the thinning computed
         a, b = self.a, self.b
-        out = np.empty((count, 2))
-        got = 0
-        while got < count:
-            m = max(64, 2 * (count - got))
-            th = 2.0 * math.pi * rng.random(m)
-            speed = np.sqrt((a * np.sin(th)) ** 2 + (b * np.cos(th)) ** 2)
-            keep = th[a * rng.random(m) < speed]
-            take = min(keep.size, count - got)
-            out[got:got + take, 0] = a * np.cos(keep[:take])
-            out[got:got + take, 1] = b * np.sin(keep[:take])
-            got += take
-        return out
+        rounds = _Rounds(rngs, count)
+        parts = []
+        for grp, sub, m in rounds:
+            th = 2.0 * math.pi * _uniforms(sub, m)
+            cos, sin = np.cos(th), np.sin(th)
+            speed = np.sqrt((a * sin) ** 2 + (b * cos) ** 2)
+            k = rounds.take(a * _uniforms(sub, m) < speed, grp)
+            pts = np.empty((k.size, 2))
+            pts[:, 0] = a * cos.take(k)
+            pts[:, 1] = b * sin.take(k)
+            parts.append((pts, grp[k // m] if len(rngs) > 1 else None))
+        return _by_generator(parts)
 
     def bounding_box(self):
         return np.array([[-self.a, -self.b], [self.a, self.b]])
@@ -308,52 +378,45 @@ class Torus(Shape):
             raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
         return spine + v * (self.minor / vn)
 
-    def sample(self, count, rng):
-        return self._draw(count, rng)
+    def _candidates(self, count):
+        return _thinning_draws(count)
 
-    def sample_patch(self, center, radius, count, rng):
-        # sample's draws; coordinates only for the accepted draws inside the
-        # (theta, phi) window of every point within radius. theta: pivot the
-        # z-axis, in the xy-plane, where the torus point is at least R - rho
-        # out and distances only shrink. phi: pivot the spine point in the
-        # meridian half-plane of the torus point, where it is rho away and
-        # the center, rotated into that half-plane, no farther than before.
-        # The window's distance takes a 1e-9 relative slack past the
-        # rounding of the coordinates and of the exact test.
+    def _draw_pass(self, rngs, count, centers, radius):
+        # uniform angles thinned to the area element. With centers, the
+        # coordinates are computed only for the accepted draws inside the
+        # (theta, phi) window of every point within radius of their
+        # generator's center. theta: pivot the z-axis, in the xy-plane,
+        # where the torus point is at least R - rho out and distances only
+        # shrink. phi: pivot the spine point in the meridian half-plane of
+        # the torus point, where it is rho away and the center, rotated into
+        # that half-plane, no farther than before. The window's distance
+        # takes a 1e-9 relative slack past the rounding of the coordinates
+        # and of the exact test.
         R, rho = self.major, self.minor
-        cx, cy, cz = map(float, center)
-        axial = math.hypot(cx, cy)
-        th_c = math.atan2(cy, cx) % (2.0 * math.pi)
-        ph_c = math.atan2(cz, axial - R) % (2.0 * math.pi)
-        dist = radius + 1e-9 * (R + rho + axial + abs(cz))
-        w_th = _angle_window(dist, (R - rho) * axial)
-        w_ph = _angle_window(dist, rho * math.hypot(axial - R, cz))
-        pts = self._draw(count, rng, lambda th, ph: _in_window(th, th_c, w_th)
-                         & _in_window(ph, ph_c, w_ph))
-        return pts[row_norms(pts - center) <= radius]
-
-    def _draw(self, count, rng, window=None):
-        """Points of `count` draws of uniform angles thinned to the area
-        element, or of those among them whose (theta, phi) pass `window`."""
-        R, rho = self.major, self.minor
+        if centers is not None:
+            window = _torus_windows(R, rho, centers, radius)
+        rounds = _Rounds(rngs, count)
         parts = []
-        got = 0
-        while got < count:
-            m = max(64, 2 * (count - got))
-            th = 2.0 * math.pi * rng.random(m)
-            ph = 2.0 * math.pi * rng.random(m)
+        for grp, sub, m in rounds:
+            th = 2.0 * math.pi * _uniforms(sub, m)
+            ph = 2.0 * math.pi * _uniforms(sub, m)
             cos_ph = np.cos(ph)
-            sel = np.flatnonzero((R + rho) * rng.random(m) < (R + rho * cos_ph))[:count - got]
-            got += sel.size
-            if window is not None:
-                sel = sel[window(th[sel], ph[sel])]
-            ring = R + rho * cos_ph[sel]
-            pts = np.empty((sel.size, 3))
-            pts[:, 0] = ring * np.cos(th[sel])
-            pts[:, 1] = ring * np.sin(th[sel])
-            pts[:, 2] = rho * np.sin(ph[sel])
-            parts.append(pts)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            k = rounds.take((R + rho) * _uniforms(sub, m) < (R + rho * cos_ph), grp)
+            owner = grp[k // m] if len(rngs) > 1 else None
+            t, p = th.take(k), ph.take(k)
+            if centers is not None:
+                w = window if owner is None else window[owner]
+                inside = np.flatnonzero(_in_window(t, w[:, 0], w[:, 1])
+                                        & _in_window(p, w[:, 2], w[:, 3]))
+                k, t, p = k[inside], t[inside], p[inside]
+                owner = None if owner is None else owner[inside]
+            ring = R + rho * cos_ph.take(k)
+            pts = np.empty((k.size, 3))
+            pts[:, 0] = ring * np.cos(t)
+            pts[:, 1] = ring * np.sin(t)
+            pts[:, 2] = rho * np.sin(p)
+            parts.append((pts, owner))
+        return _by_generator(parts)
 
     def bounding_box(self):
         e = self.major + self.minor
@@ -381,10 +444,6 @@ class ZeroSphere(Shape):
         if abs(d_plus - d_minus) <= EPS_MED * self.reach:
             raise MedialAxisProximity("equidistant from -1 and +1")
         return np.array([1.0 if d_plus < d_minus else -1.0])
-
-    def sample(self, count, rng):
-        # rng.integers draws what rng.choice over the two points would, at less overhead
-        return _pick(self.finite_points(), count, rng)
 
     def finite_points(self):
         return np.array([[-1.0], [1.0]])
@@ -439,9 +498,6 @@ class FinitePointSet(Shape):
             raise MedialAxisProximity("two sample points tie as nearest")
         return pts[order[0]].copy()
 
-    def sample(self, count, rng):
-        return _pick(self.array(), count, rng)
-
     def finite_points(self):
         return self.array()
 
@@ -450,14 +506,107 @@ class FinitePointSet(Shape):
         return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
 
+# the most points (generators times count) one pass of a stacked sampler draws
+_PASS_DRAWS = 1 << 13
+
+
+def _uniforms(rngs, m):
+    """(len(rngs), m) array whose row i is rngs[i].random(m)."""
+    if len(rngs) == 1:
+        return rngs[0].random((1, m))
+    out = np.empty((len(rngs), m))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
+def _thinning_draws(need):
+    """Candidates a thinned sampler draws in a round for `need` more points."""
+    return max(64, 2 * need)
+
+
+class _Rounds:
+    """The rounds of a rejection sampler run on several generators at once.
+    Iterating yields (generators, their rngs, m) groups: each generator
+    still short of points draws m = _thinning_draws(need) candidates, as it
+    would alone, and generators that draw the same m share a group. take()
+    records a group's accepted draws before the next round. Every
+    generator needs `count` points in the first round; `need` holds what
+    each still needs after it, None when none falls short."""
+
+    def __init__(self, rngs, count):
+        self.rngs = rngs
+        self.count = count
+        self.need = None
+
+    def __iter__(self):
+        yield np.arange(len(self.rngs)), self.rngs, _thinning_draws(self.count)
+        todo = () if self.need is None else self.need.nonzero()[0]
+        while len(todo):
+            ms = np.maximum(64, 2 * self.need[todo])  # _thinning_draws of each need
+            for m in np.unique(ms).tolist():
+                grp = todo[ms == m]
+                yield grp, [self.rngs[i] for i in grp.tolist()], m
+            todo = self.need.nonzero()[0]
+
+    def take(self, accept, grp):
+        """Flat indices into `accept`, whose row r holds the draws of
+        generator grp[r], of each row's first `need` accepted draws, in
+        row-major order; lowers need by the draws taken."""
+        first = self.need is None
+        want = self.count if first else self.need[grp]
+        if accept.shape[0] == 1:
+            k = accept.ravel().nonzero()[0][:want if first else want[0]]
+            short = want - k.size
+            falls_short = first and short > 0
+        else:
+            taken = np.cumsum(accept, axis=1)
+            k = (accept & (taken <= (want if first else want[:, None]))).ravel().nonzero()[0]
+            short = want - np.minimum(taken[:, -1], want)
+            falls_short = first and short.any()
+        if not first:
+            self.need[grp] = short
+        elif falls_short:
+            self.need = np.atleast_1d(short)
+        return k
+
+
+def _by_generator(parts):
+    """(points, owner) of the (points, generator index) parts of the rounds
+    of a rejection sampler, in generator order: a generator's later rounds
+    follow its earlier ones. The owners are None for a lone generator."""
+    if len(parts) == 1:
+        return parts[0]
+    pts = np.concatenate([p for p, _ in parts])
+    if parts[0][1] is None:
+        return pts, None
+    owner = np.concatenate([o for _, o in parts])
+    order = np.argsort(owner, kind="stable")
+    return pts[order], owner[order]
+
+
+def _torus_windows(R, rho, centers, radius):
+    """Rows (theta center, theta half-width, phi center, phi half-width) of
+    the angle windows about the rows of `centers` that hold every torus
+    point within `radius` of them; see Torus._draw_pass."""
+    cx, cy, cz = centers.T
+    axial = np.hypot(cx, cy)
+    dist = radius + 1e-9 * (R + rho + axial + np.abs(cz))
+    return np.column_stack([np.arctan2(cy, cx) % (2.0 * math.pi),
+                            _angle_window(dist, (R - rho) * axial),
+                            np.arctan2(cz, axial - R) % (2.0 * math.pi),
+                            _angle_window(dist, rho * np.hypot(axial - R, cz))])
+
+
 def _angle_window(dist, scale):
-    """Half-width, plus 1e-9, of the angle window about a center that holds
-    every point within `dist` of it. Two points at distances q and q' from a
-    pivot, an angle t apart about it, lie at least 2 sqrt(q q') sin(|t| / 2)
+    """Half-widths, plus 1e-9, of the angle windows about centers that hold
+    every point within `dist` of them. Two points at distances q and q' from
+    a pivot, an angle t apart about it, lie at least 2 sqrt(q q') sin(|t| / 2)
     apart, so a point within dist has |t| <= 2 asin(dist / (2 sqrt(scale)))
     for any scale <= q q'; pi (no window) where that bound covers the turn."""
-    x = dist / (2.0 * math.sqrt(scale)) if scale > 0 else math.inf
-    return math.pi if x >= 1.0 else 2.0 * math.asin(x) + 1e-9
+    with np.errstate(divide="ignore"):
+        x = dist / (2.0 * np.sqrt(scale))
+    return np.where(x >= 1.0, math.pi, 2.0 * np.arcsin(np.minimum(x, 1.0)) + 1e-9)
 
 
 def _in_window(angle, center, half_width):
@@ -541,6 +690,17 @@ def sample_patch(shape, center, radius: float, count: int, rng: np.random.Genera
     `center`, in order, leaving rng as sample_rng does."""
     _check_count(count)
     return _shape(shape).sample_patch(center, radius, count, rng)
+
+
+def sample_stacked(shape, rngs, count: int, centers=None, radius=None, first=None) -> tuple:
+    """(rows, counts): for each generator of the sequence `rngs` in turn,
+    the rows of sample_rng(shape, count, rng), or with `centers` (one row
+    per generator) those of sample_patch(shape, center, radius, count,
+    rng); with the integer array `first`, only the first first[i] rows of
+    rngs[i]. counts[i] rows come from rngs[i], which ends as those calls
+    leave it."""
+    _check_count(count)
+    return _shape(shape).sample_stacked(rngs, count, centers, radius, first)
 
 
 def sample(shape, count: int, seed: int) -> np.ndarray:

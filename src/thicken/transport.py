@@ -151,8 +151,9 @@ def _entering_arc(C, rows, pot, basic, tol, bland):
     return k if reduced[k] < -tol else None
 
 
-def wasserstein1(mu: Measure, nu: Measure) -> tuple:
-    """Exact optimum of the transportation linear program and an optimal plan.
+def wasserstein1(mu: Measure, nu: Measure, *, plan: bool = True) -> tuple:
+    """Exact optimum of the transportation linear program and an optimal
+    plan; with plan=False, (optimum, None), without building the plan.
 
     The basis tree is kept between pivots: node k < m is row k, node m + j is
     column j, and the tree hangs from row 0 by `parent`/`depth` with each
@@ -166,7 +167,7 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
     m, n = C.shape
     if m == 1 or n == 1:
         P = np.outer(a, b)
-        return float(np.sum(P * C)), TransportPlan(tuple(map(tuple, P.tolist())))
+        return float(np.sum(P * C)), TransportPlan(tuple(map(tuple, P.tolist()))) if plan else None
 
     # northwest-corner initial basic feasible solution, as a tree on m + n nodes
     F = [0.0] * (m * n)
@@ -261,7 +262,7 @@ def wasserstein1(mu: Measure, nu: Measure) -> tuple:
 
     F = np.array(F).reshape(m, n)
     F[F < 0] = 0.0
-    return float(np.sum(F * C)), TransportPlan(tuple(map(tuple, F.tolist())))
+    return float(np.sum(F * C)), TransportPlan(tuple(map(tuple, F.tolist()))) if plan else None
 
 
 @lru_cache(maxsize=32)

@@ -5,15 +5,16 @@ Here scales sit at the decisive value shifted by a few ambiguity bands on
 either side of the shortcut cut-off (twice the band), and far from it, and
 every answer, or AmbiguousPredicate, must be the one threshold_compare gives
 on the quantity itself: the diameter, the smallest enclosing ball radius, or
-the cover over the witnesses plus the projected ball center. Each predicate
-is also monotone in the scale: True at one scale stays True, or turns
-ambiguous, at every larger one.
+the cover over the witnesses plus the projected ball center. The stacked
+form of the bounds (bound_verdicts), where it decides, must decide the
+same. Each predicate is also monotone in the scale: True at one scale stays
+True, or turns ambiguous, at every larger one.
 """
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from thicken import (  # noqa: E402
@@ -32,6 +33,7 @@ from thicken import (  # noqa: E402
     sample,
 )
 from thicken import euclid  # noqa: E402
+from thicken.complexes import bound_verdicts  # noqa: E402
 from thicken.euclid import coincident_pair, diameter, threshold_compare  # noqa: E402
 
 SHAPES = {1: ZeroSphere(), 2: Circle(1.0), 3: Sphere(3, 1.0)}
@@ -73,8 +75,13 @@ def _answers(predicate, pts):
             _outcome(lambda: predicate(Simplex(tuple(map(tuple, pts))))))
 
 
-def _check(predicate, pts, expected):
+def _check(predicate, pts, expected, spec, witness):
     assert _answers(predicate, pts) == (expected, expected)
+    # the same bounds on a stack of supports; a second, shifted copy of the
+    # support must not change the first one's verdict
+    stacks = np.stack((pts, pts + 0.5))
+    verdict = bound_verdicts(stacks, spec, np.stack((witness, witness + 0.5)))[0]
+    assert verdict == -1 or bool(verdict == 1) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -83,17 +90,21 @@ def test_vr_shortcuts_match_diameter_compare(pts, bands, strict):
     diam = diameter(pts)
     spec = ComplexSpec("vr", _threshold(diam, bands), strict=strict)
     expected = _outcome(lambda: threshold_compare(diam, spec.scale, strict))
-    _check(lambda s: is_vr_simplex(s, spec), pts, expected)
+    _check(lambda s: is_vr_simplex(s, spec), pts, expected, spec, pts[0])
 
 
 @settings(max_examples=400, deadline=None)
 @given(point_sets(), offsets, st.booleans())
+# the middle vertex's farthest distance is the ball radius: the best-vertex
+# bound meets the threshold as closely as the radius does
+@example(np.array([[0.0], [1.0], [2.0]]), -1.0, False)
+@example(np.array([[0.0], [1.0], [2.0]]), -2.0, True)
 def test_cech_ambient_shortcuts_match_min_ball_compare(pts, bands, strict):
     radius = min_enclosing_ball(pts).radius
     half = _threshold(radius, bands)
     spec = ComplexSpec("cech-ambient", 2.0 * half, strict=strict)
     expected = _outcome(lambda: threshold_compare(radius, half, strict))
-    _check(lambda s: is_cech_simplex_ambient(s, spec), pts, expected)
+    _check(lambda s: is_cech_simplex_ambient(s, spec), pts, expected, spec, pts[0])
 
 
 def _full_cover(pts, shape, witnesses) -> float:
@@ -115,7 +126,8 @@ def test_cech_intrinsic_shortcut_matches_full_cover_compare(pts, bands, strict, 
     half = _threshold(cover, bands)
     spec = ComplexSpec("cech-intrinsic", 2.0 * half, strict=strict, shape=shape)
     expected = _outcome(lambda: threshold_compare(cover, half, strict))
-    _check(lambda s: is_cech_simplex_intrinsic(s, spec, witnesses), pts, expected)
+    _check(lambda s: is_cech_simplex_intrinsic(s, spec, witnesses), pts, expected, spec,
+           witnesses[0])
 
 
 def _monotone(answer_at, quantity, low, high):
