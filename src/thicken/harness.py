@@ -67,6 +67,8 @@ class CampaignConfig:
             raise ConfigError(f"trials must be >= 0, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.lemmas:
+            raise ConfigError("need at least one lemma suite")
         bad = [m for m in self.lemmas if m not in LEMMA_IDS]
         if bad:
             raise ConfigError(f"unknown lemma suites {bad}")

@@ -24,6 +24,7 @@ from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
 from .euclid import (apart_by_first_coordinate, band, coincident_pair, coincident_rows,
                      max_row_norm, nearest_distance_query, norm, row_norms)
 from .shapes import (
+    _check_seed,
     ambient_dim,
     distance_to_shape,
     finite_points,
@@ -304,11 +305,6 @@ def _pcg_states(seed: int, ts: np.ndarray):
     for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
         inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
         yield ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-def _check_seed(seed) -> None:
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
 
 
 # trials run in lockstep, and the stretch of trial streams hashed at once

@@ -9,6 +9,8 @@ an independent oracle for the closed forms.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,6 @@ __all__ = [
     "finite_points",
     "sample",
     "sample_rng",
-    "sample_patch",
     "sample_stacked",
     "estimate_reach",
     "shape_label",
@@ -54,12 +55,12 @@ class Shape:
     ``sample_stacked(rngs, count, centers=None, radius=None, first=None)``:
     for each generator in turn, the points of ``count`` draws on it, or with
     ``centers`` the rows of those within Euclidean ``radius`` of that
-    generator's center, in order. ``sample(count, rng)`` and
-    ``sample_patch(center, radius, count, rng)`` are its one-generator case.
-    Each generator makes its own draws in its own order whatever else is
-    stacked with it, so its rows and final state do not depend on the
-    others; only the elementwise work between draws is stacked. Samplers
-    draw h * rng.random(m): rng.uniform(0, h, m)'s floats, cheaper.
+    generator's center, in order. ``sample(count, rng)`` is its
+    one-generator case without centers. Each generator makes its own draws
+    in its own order whatever else is stacked with it, so its rows and final
+    state do not depend on the others; only the elementwise work between
+    draws is stacked. Samplers draw h * rng.random(m): rng.uniform(0, h,
+    m)'s floats, cheaper.
     """
 
     def finite_points(self):
@@ -68,11 +69,6 @@ class Shape:
 
     def sample(self, count, rng):
         return self._draw_pass((rng,), count, None, None)[0]
-
-    def sample_patch(self, center, radius, count, rng):
-        center = np.asarray(center, dtype=float)
-        pts = self._draw_pass((rng,), count, center[None, :], radius)[0]
-        return pts[row_norms(pts - center) <= radius]
 
     def sample_stacked(self, rngs, count, centers=None, radius=None, first=None):
         """(rows, counts): the rows of every generator of ``rngs`` in turn,
@@ -119,8 +115,6 @@ class Shape:
         beyond radius of their generator's center. A finite kind picks rows
         on each generator in turn; continuous kinds stack."""
         fin = self.finite_points()
-        if len(rngs) == 1:
-            return _pick(fin, count, rngs[0]), None
         return np.concatenate([_pick(fin, count, rng) for rng in rngs]), None
 
 
@@ -160,6 +154,7 @@ class Circle(_RoundSphere):
     ambient_dim = 2
 
     def __post_init__(self):
+        _check_finite(self, "radius")
         if not (self.radius > 0):
             raise UnsupportedShape(f"circle radius must be > 0, got {self.radius}")
 
@@ -181,8 +176,9 @@ class Sphere(_RoundSphere):
     kind = "sphere"
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise UnsupportedShape(f"sphere ambient dim must be an int >= 2, got {self.dim}")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 2:  # bools are < 2
+            raise UnsupportedShape(f"sphere ambient dim must be an int >= 2, got {self.dim!r}")
+        _check_finite(self, "radius")
         if not (self.radius > 0):
             raise UnsupportedShape(f"sphere radius must be > 0, got {self.radius}")
 
@@ -218,8 +214,11 @@ class Ellipse(Shape):
     ambient_dim = 2
 
     def __post_init__(self):
+        _check_finite(self, "a", "b")
         if not (self.a >= self.b > 0):
             raise UnsupportedShape(f"ellipse needs a >= b > 0, got a={self.a}, b={self.b}")
+        if not 0.0 < self.reach < math.inf:
+            raise UnsupportedShape(f"ellipse reach b^2/a = {self.reach} is out of range")
 
     @property
     def reach(self) -> float:
@@ -316,18 +315,18 @@ class Ellipse(Shape):
         # angle proposal thinned to arc-length measure; the cosines and sines
         # of the accepted angles are those the thinning computed
         a, b = self.a, self.b
-        rounds = _Rounds(rngs, count)
-        parts = []
-        for grp, sub, m in rounds:
+
+        def propose(sub, m):
             th = 2.0 * math.pi * _uniforms(sub, m)
             cos, sin = np.cos(th), np.sin(th)
-            speed = np.sqrt((a * sin) ** 2 + (b * cos) ** 2)
-            k = rounds.take(a * _uniforms(sub, m) < speed, grp)
-            pts = np.empty((k.size, 2))
-            pts[:, 0] = a * cos.take(k)
-            pts[:, 1] = b * sin.take(k)
-            parts.append((pts, grp[k // m] if len(rngs) > 1 else None))
-        return _by_generator(parts)
+
+            def points(k, owner):
+                pts = np.empty((k.size, 2))
+                pts[:, 0] = a * cos.take(k)
+                pts[:, 1] = b * sin.take(k)
+                return pts, owner
+            return a * _uniforms(sub, m) < np.sqrt((a * sin) ** 2 + (b * cos) ** 2), points
+        return _thinned(rngs, count, propose)
 
     def bounding_box(self):
         return np.array([[-self.a, -self.b], [self.a, self.b]])
@@ -350,10 +349,13 @@ class Torus(Shape):
     ambient_dim = 3
 
     def __post_init__(self):
+        _check_finite(self, "major", "minor")
         if not (self.major > self.minor > 0):
             raise UnsupportedShape(
                 f"torus needs major > minor > 0, got major={self.major}, minor={self.minor}"
             )
+        if self.major + self.minor == math.inf:
+            raise UnsupportedShape("torus major + minor overflows")
 
     @property
     def reach(self) -> float:
@@ -395,28 +397,28 @@ class Torus(Shape):
         R, rho = self.major, self.minor
         if centers is not None:
             window = _torus_windows(R, rho, centers, radius)
-        rounds = _Rounds(rngs, count)
-        parts = []
-        for grp, sub, m in rounds:
+
+        def propose(sub, m):
             th = 2.0 * math.pi * _uniforms(sub, m)
             ph = 2.0 * math.pi * _uniforms(sub, m)
             cos_ph = np.cos(ph)
-            k = rounds.take((R + rho) * _uniforms(sub, m) < (R + rho * cos_ph), grp)
-            owner = grp[k // m] if len(rngs) > 1 else None
-            t, p = th.take(k), ph.take(k)
-            if centers is not None:
-                w = window if owner is None else window[owner]
-                inside = np.flatnonzero(_in_window(t, w[:, 0], w[:, 1])
-                                        & _in_window(p, w[:, 2], w[:, 3]))
-                k, t, p = k[inside], t[inside], p[inside]
-                owner = None if owner is None else owner[inside]
-            ring = R + rho * cos_ph.take(k)
-            pts = np.empty((k.size, 3))
-            pts[:, 0] = ring * np.cos(t)
-            pts[:, 1] = ring * np.sin(t)
-            pts[:, 2] = rho * np.sin(p)
-            parts.append((pts, owner))
-        return _by_generator(parts)
+
+            def points(k, owner):
+                t, p = th.take(k), ph.take(k)
+                if centers is not None:
+                    w = window if owner is None else window[owner]
+                    inside = np.flatnonzero(_in_window(t, w[:, 0], w[:, 1])
+                                            & _in_window(p, w[:, 2], w[:, 3]))
+                    k, t, p = k[inside], t[inside], p[inside]
+                    owner = None if owner is None else owner[inside]
+                ring = R + rho * cos_ph.take(k)
+                pts = np.empty((k.size, 3))
+                pts[:, 0] = ring * np.cos(t)
+                pts[:, 1] = ring * np.sin(t)
+                pts[:, 2] = rho * np.sin(p)
+                return pts, owner
+            return (R + rho) * _uniforms(sub, m) < (R + rho * cos_ph), points
+        return _thinned(rngs, count, propose)
 
     def bounding_box(self):
         e = self.major + self.minor
@@ -463,9 +465,12 @@ class FinitePointSet(Shape):
         pts = as_points(self.points)
         if pts.shape[0] < 2:
             raise UnsupportedShape("finite point set needs at least 2 points")
-        if coincident_pair(pts) is not None:
-            raise UnsupportedShape("finite point set has duplicate points")
         object.__setattr__(self, "points", tuple(tuple(p) for p in pts))
+        with np.errstate(over="ignore"):  # points 1e308 apart have an infinite reach
+            if coincident_pair(pts) is not None:
+                raise UnsupportedShape("finite point set has duplicate points")
+            if self.reach == math.inf:
+                raise UnsupportedShape("finite point set reach overflows")
 
     def array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
@@ -506,6 +511,16 @@ class FinitePointSet(Shape):
         return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
 
+def _check_finite(shape, *names):
+    """Raise UnsupportedShape unless the named fields of shape are finite
+    real numbers. Finite parameters keep the thinned samplers' acceptance
+    above b/a (ellipse) and (R - rho)/(R + rho) (torus), so they end."""
+    for name in names:
+        value = getattr(shape, name)
+        if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+            raise UnsupportedShape(f"{shape.kind} {name} must be a finite real, got {value!r}")
+
+
 # the most points (generators times count) one pass of a stacked sampler draws
 _PASS_DRAWS = 1 << 13
 
@@ -525,60 +540,30 @@ def _thinning_draws(need):
     return max(64, 2 * need)
 
 
-class _Rounds:
-    """The rounds of a rejection sampler run on several generators at once.
-    Iterating yields (generators, their rngs, m) groups: each generator
-    still short of points draws m = _thinning_draws(need) candidates, as it
-    would alone, and generators that draw the same m share a group. take()
-    records a group's accepted draws before the next round. Every
-    generator needs `count` points in the first round; `need` holds what
-    each still needs after it, None when none falls short."""
-
-    def __init__(self, rngs, count):
-        self.rngs = rngs
-        self.count = count
-        self.need = None
-
-    def __iter__(self):
-        yield np.arange(len(self.rngs)), self.rngs, _thinning_draws(self.count)
-        todo = () if self.need is None else self.need.nonzero()[0]
-        while len(todo):
-            ms = np.maximum(64, 2 * self.need[todo])  # _thinning_draws of each need
-            for m in np.unique(ms).tolist():
-                grp = todo[ms == m]
-                yield grp, [self.rngs[i] for i in grp.tolist()], m
-            todo = self.need.nonzero()[0]
-
-    def take(self, accept, grp):
-        """Flat indices into `accept`, whose row r holds the draws of
-        generator grp[r], of each row's first `need` accepted draws, in
-        row-major order; lowers need by the draws taken."""
-        first = self.need is None
-        want = self.count if first else self.need[grp]
-        if accept.shape[0] == 1:
-            k = accept.ravel().nonzero()[0][:want if first else want[0]]
-            short = want - k.size
-            falls_short = first and short > 0
-        else:
-            taken = np.cumsum(accept, axis=1)
-            k = (accept & (taken <= (want if first else want[:, None]))).ravel().nonzero()[0]
-            short = want - np.minimum(taken[:, -1], want)
-            falls_short = first and short.any()
-        if not first:
-            self.need[grp] = short
-        elif falls_short:
-            self.need = np.atleast_1d(short)
-        return k
-
-
-def _by_generator(parts):
-    """(points, owner) of the (points, generator index) parts of the rounds
-    of a rejection sampler, in generator order: a generator's later rounds
-    follow its earlier ones. The owners are None for a lone generator."""
+def _thinned(rngs, count, propose):
+    """(points, owner) of count accepted draws on each generator in turn,
+    owner None for a lone one. propose(sub, m) draws m candidates on each of
+    sub and returns their acceptance mask and points(k, owner): the points
+    and owners of flat indices k, less any it drops. Several generators stack
+    a first round; one still short finishes alone, as it would draw alone."""
+    parts, short = [], [(0, count)]
+    if len(rngs) > 1:
+        m = _thinning_draws(count)
+        accept, points = propose(rngs, m)
+        taken = np.cumsum(accept, axis=1)
+        k = (accept & (taken <= count)).ravel().nonzero()[0]
+        parts.append(points(k, k // m))
+        short = [(i, count - n) for i, n in enumerate(taken[:, -1].tolist()) if n < count]
+    for i, need in short:
+        while need:
+            accept, points = propose(rngs[i:i + 1], _thinning_draws(need))
+            k = accept.ravel().nonzero()[0][:need]
+            need -= k.size
+            parts.append(points(k, None if len(rngs) == 1 else np.full(k.size, i)))
     if len(parts) == 1:
         return parts[0]
     pts = np.concatenate([p for p, _ in parts])
-    if parts[0][1] is None:
+    if len(rngs) == 1:
         return pts, None
     owner = np.concatenate([o for _, o in parts])
     order = np.argsort(owner, kind="stable")
@@ -675,8 +660,14 @@ def project(shape, x) -> np.ndarray:
 
 
 def _check_count(count) -> None:
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
+    if (type(count) is not int and not isinstance(count, numbers.Integral)) or count < 1:
+        raise InvalidInput(f"count must be >= 1 and an integer, got {count!r}")
+
+
+def _check_seed(seed) -> None:
+    """The one rule on a seed, of sample and of the checkers' trial streams."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInput(f"seed must be >= 0 and an integer, got {seed!r}")
 
 
 def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -685,26 +676,20 @@ def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
     return _shape(shape).sample(count, rng)
 
 
-def sample_patch(shape, center, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The rows of sample_rng(shape, count, rng) within Euclidean `radius` of
-    `center`, in order, leaving rng as sample_rng does."""
-    _check_count(count)
-    return _shape(shape).sample_patch(center, radius, count, rng)
-
-
 def sample_stacked(shape, rngs, count: int, centers=None, radius=None, first=None) -> tuple:
     """(rows, counts): for each generator of the sequence `rngs` in turn,
     the rows of sample_rng(shape, count, rng), or with `centers` (one row
-    per generator) those of sample_patch(shape, center, radius, count,
-    rng); with the integer array `first`, only the first first[i] rows of
-    rngs[i]. counts[i] rows come from rngs[i], which ends as those calls
-    leave it."""
+    per generator) those of them within Euclidean `radius` of the
+    generator's center; with the integer array `first`, only the first
+    first[i] rows of rngs[i]. counts[i] rows come from rngs[i], which ends
+    as sample_rng leaves it."""
     _check_count(count)
     return _shape(shape).sample_stacked(rngs, count, centers, radius, first)
 
 
 def sample(shape, count: int, seed: int) -> np.ndarray:
     """Deterministic on-shape sampler; same seed, same points."""
+    _check_seed(seed)
     return sample_rng(shape, count, np.random.default_rng(seed))
 
 

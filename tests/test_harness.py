@@ -24,13 +24,13 @@ from thicken.retraction import LEMMA_IDS
 GOOD = "shape=circle radius=1\nr=0.5\nk=3\ntrials=20\nseed=7\n"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "thicken.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_parse_config_happy_path():
@@ -77,6 +77,11 @@ def test_parse_config_all_shape_kinds():
     "shape=circle radius=1\nr=0.5\nflavor=quantum",
     "shape=circle radius=1\nr=0.5 extra",       # token without '='
     "shape=circle radius=1\nr=0.5\nflavor=cech\nlemmas=VrTub",  # suite outside flavor
+    "shape=circle radius=1\nr=0.5\nlemmas=,",  # no suite left to run
+    "shape=torus major=inf minor=1 r=0.5",     # non-finite shape parameters
+    "shape=circle radius=inf r=0.5",
+    "shape=sphere dim=3 radius=inf r=0.5",
+    "shape=ellipse a=1e400 b=1 r=0.2 tightness=1",
 ))
 def test_parse_config_rejections(text):
     with pytest.raises(ConfigError):
@@ -248,6 +253,16 @@ def test_cli_wasserstein_and_skeleton(tmp_path):
                   "--shape", "shape=circle", "--witnesses", "0")
     assert res.returncode == 2
     assert "--witnesses" in res.stderr
+    res = run_cli("skeleton", str(pts), "--scale", "1.0", "--flavor", "cech-intrinsic",
+                  "--shape", "shape=circle", "--seed", "-1")
+    assert res.returncode == 2
+    assert "--seed" in res.stderr
+    # an infinite ellipse's sampler would never accept a witness: the
+    # command must stop at the descriptor, promptly
+    res = run_cli("skeleton", str(pts), "--scale", "0.5", "--flavor", "cech-intrinsic",
+                  "--shape", "shape=ellipse a=inf b=1", "--witnesses", "4", timeout=60)
+    assert res.returncode == 2
+    assert "finite" in res.stderr
 
 
 def test_cli_rejects_bad_input_files(tmp_path, capsys):

@@ -293,7 +293,7 @@ def test_trial_streams_match_default_rng():
             assert rng.normal() == ref.normal()
     with pytest.raises(InvalidInput, match="seed must be >= 0"):
         next(_trial_rngs(-1, 3))
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidInput, match="seed must be >= 0 and an integer"):
         next(_trial_rngs(1.5, 3))
 
 
@@ -337,28 +337,31 @@ def test_csv_row_and_header():
     assert timed["wall_time_ms"] == ""
 
 
-# each checker taking k and r, called as (r, k); check_federer takes no k
+# each checker taking k and r, called as (r, k, seed); check_federer takes no k
 RANGED_CHECKERS = {
-    "Convex": lambda r, k: check_convex_lemma(Circle(1.0), r, k, 3, 1),
-    "VrTub": lambda r, k: check_vr_tub_lemma(Circle(1.0), r, k, 3, 1),
-    "VrSimplex": lambda r, k: check_vr_simplex_lemma(Circle(1.0), r, k, 3, 1),
-    "CechRadius": lambda r, k: check_cech_radius_lemma(Circle(1.0), r, k, 3, 1),
-    "CechTub": lambda r, k: check_cech_tub_lemma(Circle(1.0), r, k, 3, 1),
-    "CechSimplexAmbient": lambda r, k: check_cech_simplex_lemma(
-        Circle(1.0), r, k, 3, 1, flavor="ambient"),
-    "CechSimplexIntrinsic": lambda r, k: check_cech_simplex_lemma(
-        Circle(1.0), r, k, 3, 1, flavor="intrinsic"),
-    "FedererLipschitz": lambda r, k: check_federer(Circle(1.0), r, 3, 1),
+    "Convex": lambda r, k, seed: check_convex_lemma(Circle(1.0), r, k, 3, seed),
+    "VrTub": lambda r, k, seed: check_vr_tub_lemma(Circle(1.0), r, k, 3, seed),
+    "VrSimplex": lambda r, k, seed: check_vr_simplex_lemma(Circle(1.0), r, k, 3, seed),
+    "CechRadius": lambda r, k, seed: check_cech_radius_lemma(Circle(1.0), r, k, 3, seed),
+    "CechTub": lambda r, k, seed: check_cech_tub_lemma(Circle(1.0), r, k, 3, seed),
+    "CechSimplexAmbient": lambda r, k, seed: check_cech_simplex_lemma(
+        Circle(1.0), r, k, 3, seed, flavor="ambient"),
+    "CechSimplexIntrinsic": lambda r, k, seed: check_cech_simplex_lemma(
+        Circle(1.0), r, k, 3, seed, flavor="intrinsic"),
+    "FedererLipschitz": lambda r, k, seed: check_federer(Circle(1.0), r, 3, seed),
 }
 
 
-@pytest.mark.parametrize("lemma, r, k", [
-    (lemma, r, k) for lemma in RANGED_CHECKERS
+@pytest.mark.parametrize("lemma, r, k, seed", [
+    pytest.param(lemma, r, k, 1, id=f"{lemma}-{r}-{k}") for lemma in RANGED_CHECKERS
     for r, k in ((0.5, -1), (0.0, 2), (-0.5, 2))
-    if k >= 0 or lemma != "FedererLipschitz"])
-def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k):
+    if k >= 0 or lemma != "FedererLipschitz"] + [
+    pytest.param(lemma, 0.5, 2, seed, id=f"{lemma}-seed={seed}") for lemma in RANGED_CHECKERS
+    for seed in (-1, 1.5)])
+def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k, seed):
+    # ... and a seed that is not an integer >= 0, sample's own seed rule
     with pytest.raises(InvalidInput):
-        RANGED_CHECKERS[lemma](r, k)
+        RANGED_CHECKERS[lemma](r, k, seed)
 
 
 # arguments the checkers must reject before drawing a dense sample, a

@@ -1,11 +1,11 @@
 """The torus patch sampler against whole-shape sampling.
 
-Torus.sample_patch draws what Torus.sample draws and computes coordinates
-only inside an angle window around the center. It must return exactly the
-rows of sample-then-filter and leave the generator in the same state, for
-centers on both sides of the theta and phi wrap, on the axis and on the
-spine, radii from tiny to past the window's saturation, and batches from 1
-to 4096 draws.
+Given a center, the torus's sample_stacked draws what it draws without one
+and computes coordinates only inside an angle window around the center. It
+must return exactly the rows of sample-then-filter and leave the generator
+in the same state, for centers on both sides of the theta and phi wrap, on
+the axis and on the spine, radii from tiny to past the window's saturation,
+and batches from 1 to 4096 draws.
 """
 import math
 
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from thicken import Torus, sample_rng  # noqa: E402
 from thicken.euclid import row_norms  # noqa: E402
-from thicken.shapes import sample_patch  # noqa: E402
+from thicken.shapes import sample_stacked  # noqa: E402
 
 TORI = (Torus(3.0, 1.0), Torus(1.2, 1.0), Torus(5.0, 0.5))
 TWO_PI = 2.0 * math.pi
@@ -69,7 +69,7 @@ def test_torus_sample_patch_is_sample_then_filter(which, th, ph, off, radius_kin
     ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
     cand = sample_rng(torus, count, ref)
     want = cand[row_norms(cand - center) <= radius]
-    got = sample_patch(torus, center, radius, count, new)
+    got = sample_stacked(torus, [new], count, center[None], radius)[0]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert new.bit_generator.state == ref.bit_generator.state

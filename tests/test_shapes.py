@@ -25,7 +25,7 @@ from thicken import (
     shape_label,
 )
 from thicken.euclid import row_norms
-from thicken.shapes import sample_patch
+from thicken.shapes import sample_stacked
 
 ALL_SHAPES = (
     Circle(1.0),
@@ -52,6 +52,17 @@ def test_constructor_guards():
         FinitePointSet(((0.0,),))  # needs 2 points
     with pytest.raises(UnsupportedShape):
         FinitePointSet(((0.0,), (0.0,)))  # duplicates
+    # non-finite or non-real parameters, or ones whose reach or bounding
+    # box overflows: the thinned samplers would never accept a draw
+    inf = float("inf")
+    for make in (lambda: Circle(inf), lambda: Circle("1"), lambda: Circle(10**400),
+                 lambda: Sphere(3, inf), lambda: Sphere(3.0, 1.0), lambda: Ellipse(inf, 1.0),
+                 lambda: Ellipse(1e200, 1e200), lambda: Ellipse(1.0, 1e-200),
+                 lambda: Torus(inf, 1.0), lambda: Torus(3.0, 1j), lambda: Torus(1.5e308, 1e308),
+                 lambda: FinitePointSet(((1e308,), (-1e308,)))):
+        with pytest.raises(UnsupportedShape):
+            make()
+    assert reach(Sphere(np.int64(3), 2.0)) == 2.0
 
 
 @pytest.mark.parametrize("call", (
@@ -61,10 +72,10 @@ def test_constructor_guards():
     lambda s: distance_to_shape(s, [0.0, 0.0]),
     lambda s: project(s, [1.0, 0.0]),
     lambda s: sample_rng(s, 3, np.random.default_rng(0)),
-    lambda s: sample_patch(s, np.zeros(2), 1.0, 3, np.random.default_rng(0)),
+    lambda s: sample_stacked(s, [np.random.default_rng(0)], 3, np.zeros((1, 2)), 1.0),
     lambda s: estimate_reach(s, 10),
 ), ids=("ambient_dim", "reach", "shape_label", "distance_to_shape", "project",
-        "sample_rng", "sample_patch", "estimate_reach"))
+        "sample_rng", "sample_stacked", "estimate_reach"))
 def test_shape_functions_reject_non_shapes(call):
     with pytest.raises(UnsupportedShape):
         call(object())
@@ -117,13 +128,19 @@ def test_sample_exactness_special_cases():
 
 
 def test_sample_count_must_be_positive():
-    for count in (0, -1):
+    for count in (0, -1, 1.5, 2.5, 3.0, "3"):
         with pytest.raises(InvalidInput, match="count must be >= 1"):
             sample(Circle(1.0), count, seed=1)
         with pytest.raises(InvalidInput, match="count must be >= 1"):
             sample_rng(Circle(1.0), count, np.random.default_rng(1))
         with pytest.raises(InvalidInput, match="count must be >= 1"):
-            sample_patch(Torus(3.0, 1.0), np.zeros(3), 1.0, count, np.random.default_rng(1))
+            sample_stacked(Torus(3.0, 1.0), [np.random.default_rng(1)], count,
+                           np.zeros((1, 3)), 1.0)
+    # the seed rule of sample is the checkers' (tests/test_retraction.py)
+    for seed in (-1, 1.5, None, "1"):
+        with pytest.raises(InvalidInput, match="seed must be >= 0"):
+            sample(Circle(1.0), 3, seed)
+    assert sample(Circle(1.0), np.int64(2), np.int64(3)).shape == (2, 2)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=shape_label)
@@ -139,7 +156,7 @@ def test_sample_patch_is_sample_then_filter(shape):
             ref, new = np.random.default_rng((seed, count)), np.random.default_rng((seed, count))
             cand = sample_rng(shape, count, ref)
             want = cand[row_norms(cand - center) <= radius]
-            got = sample_patch(shape, center, radius, count, new)
+            got = sample_stacked(shape, [new], count, center[None], radius)[0]
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert new.bit_generator.state == ref.bit_generator.state
 

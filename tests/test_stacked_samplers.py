@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from thicken import Circle, Ellipse, Sphere, Torus, sample_rng  # noqa: E402
 from thicken.euclid import row_norms  # noqa: E402
-from thicken.shapes import sample_patch, sample_stacked  # noqa: E402
+from thicken.shapes import sample_stacked  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,25 +182,9 @@ def test_stacked_patches_are_one_patch_per_generator(which, gens_spec, radius_ki
     for gen, ref in zip(gens, refs):
         assert gen.bit_generator.state == ref.bit_generator.state
     one = np.random.default_rng(seeds[0])
-    assert sample_patch(shape, centers[0], radius, count, one).tobytes() == near[0].tobytes()
+    alone = sample_stacked(shape, [one], count, centers[:1], radius)[0]
+    assert alone.tobytes() == near[0].tobytes()
     assert one.bit_generator.state == refs[0].bit_generator.state
-
-
-def test_rejection_rounds_group_generators_by_draw_count():
-    # a generator short after a round draws max(64, 2 * need) candidates in
-    # the next; generators that draw as many share a group
-    from thicken.shapes import _Rounds
-    rounds = _Rounds(["a", "b", "c"], 100)
-    seen, taken = [], []
-    for grp, sub, m in rounds:
-        seen.append((grp.tolist(), sub, m))
-        accept = np.ones((len(grp), m), dtype=bool)
-        if len(seen) == 1:
-            accept[0, 150:] = accept[1, 60:] = accept[2, 90:] = False
-        taken.append(rounds.take(accept, grp).tolist())
-    assert seen == [([0, 1, 2], ["a", "b", "c"], 200), ([2], ["c"], 64), ([1], ["b"], 80)]
-    assert taken == [list(range(100)) + list(range(200, 260)) + list(range(400, 490)),
-                     list(range(10)), list(range(40))]
 
 
 @pytest.mark.parametrize("cap", (1, 3, 64, 1 << 20))
