@@ -104,8 +104,8 @@ def _cmd_skeleton(args) -> int:
     if args.flavor == "cech-intrinsic":
         if args.witnesses < 1:
             raise ConfigError(f"--witnesses must be >= 1, got {args.witnesses}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must be >= 0 and below 2**64, got {args.seed}")
         witnesses = sample(shape, args.witnesses, args.seed)
     sys.stdout.write(format_skeleton(points, spec, args.max_dim, witnesses=witnesses) + "\n")
     return EXIT_PASS

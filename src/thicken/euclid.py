@@ -90,34 +90,14 @@ def max_row_norm(d: np.ndarray) -> float:
     return math.sqrt((d * d).sum(axis=1).max())
 
 
-def _kd_square_sums(d: np.ndarray) -> np.ndarray:
-    """Column sums of d*d for a (n, k) array of k difference vectors, in the
-    order scipy's cKDTree adds them: four lanes over whole blocks of four
-    coordinates, the lanes added in turn, then the other coordinates one by
-    one (for n < 8 that is the plain left-to-right sum)."""
-    sq = d * d
-    n = sq.shape[0]
-    whole = n - n % 4
-    if whole:
-        lanes = sq[0:4]
-        for j in range(4, whole, 4):
-            lanes = lanes + sq[j:j + 4]
-        s = lanes[0] + lanes[1] + lanes[2] + lanes[3]
-    else:
-        s = sq[0]
-    for j in range(max(whole, 1), n):
-        s = s + sq[j]
-    return s
-
-
 def nearest_distance_query(points):
     """query(c) -> the distance from c to the nearest row of the (k, n) array
-    `points`, bit for bit what scipy's cKDTree(points).query(c)[0] gives.
+    `points`: the root of the least sum of squared differences over a row,
+    bit for bit what a scan of every row gives.
 
     A query screens every row x by v(x) = |x|^2 - 2<x, c>, which orders the
-    rows as |x - c|^2 = v(x) + |c|^2 does, and computes the distance, in
-    cKDTree's order, only for the rows whose v is within a rounding slack
-    of the least."""
+    rows as |x - c|^2 = v(x) + |c|^2 does, and sums the squared differences
+    only for the rows whose v is within a rounding slack of the least."""
     pts = as_points(points)
     n = pts.shape[1]
     cols = np.ascontiguousarray(pts.T)
@@ -140,8 +120,10 @@ def nearest_distance_query(points):
         # B and of the threshold, and the 2^-1074 term covers underflow.
         b = max_norm + math.sqrt(c.dot(c))
         slack = 8 * (n + 2) * (2.0 ** -53 * b * b + 2.0 ** -1074)
-        near = cols.take(np.flatnonzero(v <= v.min() + slack), axis=1)
-        return math.sqrt(_kd_square_sums(near - c[:, None]).min())
+        # Python's sum adds the squares in coordinate order whichever rows
+        # are kept (ndarray.sum adds a lone row pairwise from 8 coordinates)
+        d = cols.take(np.flatnonzero(v <= v.min() + slack), axis=1) - c[:, None]
+        return math.sqrt(sum(d * d).min())
 
     return query
 

@@ -65,8 +65,8 @@ class CampaignConfig:
             raise ConfigError(f"k must be in 0..6, got {self.k}")
         if self.trials < 0:
             raise ConfigError(f"trials must be >= 0, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be >= 0 and below 2**64, got {self.seed}")
         if not self.lemmas:
             raise ConfigError("need at least one lemma suite")
         bad = [m for m in self.lemmas if m not in LEMMA_IDS]

@@ -3,17 +3,19 @@ verifiers for the geometric facts they rest on.
 
 Each checker runs seeded trials: it samples a valid input (simplex, tube
 point, or pair), evaluates the claimed inequality, and reports the count of
-violations beyond tolerance together with the worst margin seen. Trials
-derive independent RNG streams from (seed, trial_index), so results do not
-depend on the order trials run in. SUITES tables the checkers for the
-campaign driver.
+violations beyond tolerance together with the worst margin seen. Trial t
+draws on its own counter-based stream, numpy's Philox keyed by (seed, t)
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
+results do not depend on the order trials run in or on how they are
+blocked. Set-up draws take the stream (seed, trials), which no trial uses.
+SUITES tables the checkers for the campaign driver.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
@@ -123,7 +125,6 @@ def homotopy_H(tp: ThickeningPoint, t: float) -> ThickeningPoint:
 # sampling helpers
 
 _MAX_ATTEMPTS = 64
-_PATCH_BUDGET = 24
 
 
 def _finite_patch(fin, center, radius, count, rng, exclude_center):
@@ -144,33 +145,15 @@ def _finite_patch(fin, center, radius, count, rng, exclude_center):
 
 def _draw_patches(shape, rngs, centers, radius, needs, exclude_center=False):
     """For each trial i, needs[i] on-shape points within Euclidean `radius`
-    of centers[i], drawn on rngs[i], or None if the sampling budget runs out
-    (continuous) / too few exist (finite). A continuous shape draws
-    whole-shape batches of 128 points, doubling up to 4096, and keeps the
-    points within the radius in draw order. Every trial still short in a
-    round draws that round's batch size, so a round is one stacked draw."""
+    of centers[i], drawn on rngs[i], or None if the patch sampler runs out
+    of rounds (continuous) / too few exist (finite)."""
     fin = finite_points(shape)
     if fin is not None:
         return [_finite_patch(fin, c, radius, n, rng, exclude_center)
                 for rng, c, n in zip(rngs, centers, needs)]
-    parts = [[] for _ in rngs]
-    need = np.array(needs)
-    todo = np.arange(len(rngs))
-    batch = 128
-    for _ in range(_PATCH_BUDGET):
-        rows, take = sample_stacked(shape, [rngs[i] for i in todo.tolist()], batch,
-                                    centers[todo], radius, need[todo])
-        got = take > 0
-        for i, start, n in zip(todo[got].tolist(), (np.cumsum(take) - take)[got].tolist(),
-                               take[got].tolist()):
-            parts[i].append(rows[start:start + n])
-        need[todo] -= take
-        todo = todo[need[todo] > 0]
-        if not todo.size:
-            break
-        batch = min(4096, batch * 2)
-    return [None if short else out[0] if len(out) == 1 else np.concatenate(out)
-            for out, short in zip(parts, need.tolist())]
+    rows, got = sample_stacked(shape, rngs, needs, centers, radius)
+    return [rows[end - n:end] if n == need else None
+            for n, need, end in zip(got.tolist(), needs, np.cumsum(got).tolist())]
 
 
 def _sample_simplices(shape, natoms, spec: ComplexSpec, rngs):
@@ -276,64 +259,37 @@ def _dirichlet_weights(n: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cell runner
 
-# numpy's SeedSequence hash constants, INIT_A MULT_A INIT_B MULT_B MIX_MULT_L MIX_MULT_R
-_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = (
-    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-
-
-def _pcg_states(seed: int, ts: np.ndarray):
-    """Yield PCG64's (state, inc) in np.random.default_rng((seed, t)) for each
-    t of the uint32 array ts, hashing all t at once as SeedSequence does."""
-    h = _INIT_A
-
-    def hashmix(v, mult=_MULT_A):
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = h * mult & 0xFFFFFFFF
-        v = v * np.uint32(h)
-        return v ^ (v >> np.uint32(16))
-
-    zero = np.zeros_like(ts)
-    pool = [hashmix(w) for w in (zero + np.uint32(seed), ts, zero, zero)]
-    for src, dst in permutations(range(4), 2):
-        v = pool[dst] * np.uint32(_MIX_L) - hashmix(pool[src]) * np.uint32(_MIX_R)
-        pool[dst] = v ^ (v >> np.uint32(16))
-    h = _INIT_B
-    words = [hashmix(pool[i % 4], _MULT_B).astype(object) for i in range(8)]
-    # eight words read as four little-endian uint64: seed (hi, lo), inc (hi, lo)
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
-        inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
-        yield ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-# trials run in lockstep, and the stretch of trial streams hashed at once
+# trials run in lockstep blocks of _BLOCK
 _BLOCK = 256
-# free generator pools of _trial_rngs, each a list reseeded block by block
+# free generator pools of _trial_rngs, each a list rekeyed trial by trial
 _POOLS = []
 
 
+def _stream(seed: int, t: int) -> np.random.Generator:
+    """Trial t's generator: Philox keyed by (seed, t)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
+
+
 def _trial_rngs(seed: int, trials: int):
-    """Yield for t in range(trials) a generator on the stream of
-    default_rng((seed, t)). The generators of a block of _BLOCK trials
-    (t // _BLOCK) are distinct, so a block's can be held at once; they come
-    from a pool that is reseeded block by block and kept between calls, as
-    building a generator costs more than a typical trial."""
+    """Yield for t in range(trials) a generator on the stream _stream(seed,
+    t). The generators of a block of _BLOCK trials (t // _BLOCK) are
+    distinct, so a block's can be held at once; they come from a pool kept
+    between calls and rekeyed by setting the Philox state, as building a
+    generator costs more than a typical trial."""
     _check_seed(seed)
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32 and trials <= 2**32):
-        yield from (np.random.default_rng((seed, t)) for t in range(trials))
-        return
+    state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0,
+             "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)}}
+    key = state["state"]["key"]
     pool = _POOLS.pop() if _POOLS else []
     try:
-        for start in range(0, trials, _BLOCK):
-            ts = np.arange(start, min(trials, start + _BLOCK), dtype=np.uint32)
-            pool.extend(np.random.Generator(np.random.PCG64(0))
-                        for _ in range(ts.size - len(pool)))
-            for rng, (state, inc) in zip(pool, _pcg_states(seed, ts)):
-                rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                           "state": {"state": state, "inc": inc},
-                                           "uinteger": 0}
-                yield rng
+        for t in range(trials):
+            i = t % _BLOCK
+            if i == len(pool):
+                pool.append(_stream(0, 0))
+            key[1] = t
+            pool[i].bit_generator.state = state
+            yield pool[i]
     finally:
         _POOLS.append(pool)
 
@@ -521,8 +477,8 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
                 _augment(pts, project(shape, lam @ pts))).radius - r)
 
     _check_cell_args(r, k, trials, seed)
-    # centers on stream (seed, trials), which no trial uses; repeats cannot change the least cover
-    pool = np.unique(sample_rng(shape, 1024, np.random.default_rng((seed, trials))), axis=0)
+    # repeated centers cannot change the least cover
+    pool = np.unique(sample_rng(shape, 1024, _stream(seed, trials)), axis=0)
 
     def margin(pts, lam, y):
         p = project(shape, lam @ pts)
@@ -555,7 +511,7 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
     if fin is not None:
         dense = fin
     else:
-        dense = sample_rng(shape, 10_000, np.random.default_rng((seed, trials)))
+        dense = sample_rng(shape, 10_000, _stream(seed, trials))
     nearest = nearest_distance_query(dense)
     dim = ambient_dim(shape)
 

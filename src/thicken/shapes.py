@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, MedialAxisProximity, UnsupportedShape
+from .errors import (DimensionMismatch, InvalidInput, MedialAxisProximity, SizeLimit,
+                     UnsupportedShape)
 from .euclid import EPS_MED, as_point, as_points, coincident_pair, row_norms
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
     "shape_label",
 ]
 
+# the largest ambient dimension of a Sphere: one point costs dim normals
+MAX_SPHERE_DIM = 64
+
 
 class Shape:
     """A closed subset of R^n with positive reach.
@@ -51,76 +55,95 @@ class Shape:
     estimator's witness pool. Callers go through the module functions, which
     check the argument is a shape and validate points.
 
-    Sampling has one implementation per kind, the stacked sampler
-    ``sample_stacked(rngs, count, centers=None, radius=None, first=None)``:
-    for each generator in turn, the points of ``count`` draws on it, or with
-    ``centers`` the rows of those within Euclidean ``radius`` of that
-    generator's center, in order. ``sample(count, rng)`` is its
-    one-generator case without centers. Each generator makes its own draws
-    in its own order whatever else is stacked with it, so its rows and final
-    state do not depend on the others; only the elementwise work between
-    draws is stacked. Samplers draw h * rng.random(m): rng.uniform(0, h,
-    m)'s floats, cheaper.
+    Sampling: ``sample_stacked(rngs, count, centers=None, radius=None)``
+    gives, for each generator in turn, ``count`` uniform points on the shape
+    (one count for all, or one per generator), or with ``centers`` (one row
+    per generator) uniform points on the patch within Euclidean ``radius``
+    of that generator's center. A continuous kind proposes candidates in a
+    window of its parameters about the center (``_window``), or in its
+    ``_whole`` window, from ``_width`` uniforms and ``_normals`` normals
+    each, and ``_propose`` thins them to the area element. Each
+    round, every generator still short of its count by `need` draws 2 need
+    + 4 candidates and keeps the first `need` that pass the thinning and the
+    exact distance test. A generator still short after _ROUNDS rounds gives
+    fewer rows, which the counts show. ``sample(count, rng)`` is the plain
+    loop for one generator without centers, with the same rows. Each
+    generator makes its own draws in its own order whatever else is stacked
+    with it; only the elementwise work between draws is stacked. A finite
+    kind picks uniform rows of itself, or of its patch.
     """
+
+    _normals = 0
 
     def finite_points(self):
         """The shape's points as a (k, n) array when it is finite, else None."""
         return None
 
     def sample(self, count, rng):
-        return self._draw_pass((rng,), count, None, None)[0]
-
-    def sample_stacked(self, rngs, count, centers=None, radius=None, first=None):
-        """(rows, counts): the rows of every generator of ``rngs`` in turn,
-        counts[i] of them from rngs[i], or only the first first[i] of them.
-        A request of more than _PASS_DRAWS candidates runs in passes of
-        whole generators, each filtered before the next, so memory does not
-        grow with the number of generators or with count."""
-        if not len(rngs):
-            return np.empty((0, self.ambient_dim)), np.zeros(0, np.intp)
-        step = max(1, _PASS_DRAWS // self._candidates(count))
-        rows, owners = [], []
-        for start in range(0, len(rngs), step):
-            sub = rngs[start:start + step]
-            pts, owner = self._draw_pass(sub, count, None if centers is None
-                                         else centers[start:start + step], radius)
-            if owner is None:
-                owner = (np.repeat(np.arange(len(sub)), count) if len(sub) > 1
-                         else np.zeros(len(pts), np.intp))
-            owner += start
-            if centers is not None:
-                keep = row_norms(pts - centers[owner]) <= radius
-                pts, owner = pts[keep], owner[keep]
-            if first is not None:
-                counts = np.bincount(owner - start, minlength=len(sub))
-                rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-                keep = rank < first[owner]
-                pts, owner = pts[keep], owner[keep]
-            rows.append(pts)
-            owners.append(owner)
-        if len(rows) > 1:
-            rows, owners = [np.concatenate(rows)], [np.concatenate(owners)]
-        return rows[0], np.bincount(owners[0], minlength=len(rngs))
-
-    def _candidates(self, count):
-        """Candidates one generator draws in the first round for `count`
-        points, the size of each array a pass holds per generator."""
-        return count
-
-    def _draw_pass(self, rngs, count, centers, radius):
-        """One pass: the points of `count` draws on each generator, in
-        generator order, and the generator index of each point, or None
-        when there is one generator or every generator has its `count`
-        rows. With centers, a kind may leave out points it proves are
-        beyond radius of their generator's center. A finite kind picks rows
-        on each generator in turn; continuous kinds stack."""
         fin = self.finite_points()
-        return np.concatenate([_pick(fin, count, rng) for rng in rngs]), None
+        if fin is not None:
+            return _pick(fin, count, rng)
+        parts = []
+        while count:
+            u, g = _draws((rng,), (2 * count + 4,), self._width, self._normals)
+            accept, pts = self._propose(u, g, self._whole)
+            pts = pts[accept][:count]
+            count -= pts.shape[0]
+            parts.append(pts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def sample_stacked(self, rngs, count, centers=None, radius=None):
+        """(rows, counts): the rows of every generator of ``rngs`` in turn,
+        counts[i] of them from rngs[i]."""
+        need = np.broadcast_to(count, len(rngs)).astype(np.intp)
+        fin = self.finite_points()
+        if fin is not None or not len(rngs):
+            pools = ([fin] * len(rngs) if centers is None
+                     else [fin[row_norms(fin - c) <= radius] for c in centers])
+            parts = [_pick(pool, n, rng) for pool, n, rng in zip(pools, need.tolist(), rngs)]
+            return (np.concatenate(parts) if parts else np.empty((0, self.ambient_dim)),
+                    np.array([p.shape[0] for p in parts], np.intp))
+        window = self._whole if centers is None else self._window(centers, radius)
+        rows, owners = [], []
+        todo = np.arange(len(rngs))
+        for _ in range(_ROUNDS):
+            m = 2 * need[todo] + 4
+            owner = np.repeat(todo, m)
+            u, g = _draws([rngs[i] for i in todo.tolist()], m, self._width, self._normals)
+            accept, pts = self._propose(u, g, window if centers is None else window[owner])
+            if centers is not None:
+                accept &= row_norms(pts - centers[owner]) <= radius
+            # each generator keeps its first `need` accepted candidates
+            taken = np.cumsum(accept)
+            ends = np.cumsum(m) - 1
+            before = np.concatenate(([0], taken[ends[:-1]]))
+            keep = accept & (taken - np.repeat(before, m) <= need[owner])
+            rows.append(pts[keep])
+            owners.append(owner[keep])
+            need[todo] -= np.minimum(taken[ends] - before, need[todo])
+            todo = todo[need[todo] > 0]
+            if not todo.size:
+                break
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        return np.concatenate(rows)[order], np.bincount(owner, minlength=len(rngs))
 
 
 class _RoundSphere(Shape):
-    """Closed forms shared by Circle and Sphere: the round sphere of
-    ``radius`` about the origin of R^ambient_dim."""
+    """Closed forms and the sampler shared by Circle and Sphere: the round
+    sphere of ``radius`` about the origin of R^ambient_dim.
+
+    Whole-sphere draws are normalized Gaussians. A patch is drawn from the
+    cap about the pole c/|c| that holds every point within radius of the
+    center c: the polar angle is uniform on [0, psi0] and thinned to
+    sin^(n-2), the area element, and the direction is a Gaussian made normal
+    to the pole."""
+
+    _width = 2
+
+    @property
+    def _normals(self):
+        return self.ambient_dim
 
     @property
     def reach(self) -> float:
@@ -144,6 +167,41 @@ class _RoundSphere(Shape):
         n = self.ambient_dim
         return n - 1, 2.0 * math.pi ** (n / 2) / math.gamma(n / 2) * self.radius ** (n - 1)
 
+    def sample(self, count, rng):
+        return self._on_sphere(rng.standard_normal((count, self.ambient_dim)))
+
+    def sample_stacked(self, rngs, count, centers=None, radius=None):
+        if centers is not None:
+            return super().sample_stacked(rngs, count, centers, radius)
+        counts = np.broadcast_to(count, len(rngs)).astype(np.intp)
+        return self._on_sphere(_draws(rngs, counts, 0, self.ambient_dim)[1]), counts
+
+    def _on_sphere(self, g):
+        return g * (self.radius / row_norms(g))[:, None]
+
+    def _window(self, centers, radius):
+        # rows (pole, psi0, the largest sin^(n-2) on [0, psi0]). A point an
+        # angle psi from the pole lies at least 2 sqrt(R |c|) sin(psi / 2)
+        # from c; a center at the origin takes the first axis as its pole
+        n = self.ambient_dim
+        norms = row_norms(centers)
+        pole = np.zeros_like(centers)
+        pole[:, 0] = 1.0
+        np.divide(centers, norms[:, None], out=pole, where=norms[:, None] > 0)
+        psi0 = _angle_window(radius + 1e-9 * (self.radius + norms), self.radius * norms)
+        top = np.where(psi0 < 0.5 * math.pi, np.sin(psi0) ** (n - 2), 1.0)
+        return np.column_stack([pole, psi0, top])
+
+    def _propose(self, u, g, w):
+        n = self.ambient_dim
+        pole = w[:, :n]
+        psi = w[:, n] * u[:, 0]
+        sin = np.sin(psi)
+        perp = g - (g * pole).sum(axis=1)[:, None] * pole
+        perp *= (sin / row_norms(perp))[:, None]
+        return w[:, n + 1] * u[:, 1] < sin ** (n - 2), self.radius * (
+            np.cos(psi)[:, None] * pole + perp)
+
 
 @dataclass(frozen=True)
 class Circle(_RoundSphere):
@@ -162,14 +220,10 @@ class Circle(_RoundSphere):
     def label(self) -> str:
         return f"circle(R={self.radius:g})"
 
-    def _draw_pass(self, rngs, count, centers, radius):
-        th = (2.0 * math.pi * _uniforms(rngs, count)).ravel()
-        return np.column_stack([self.radius * np.cos(th), self.radius * np.sin(th)]), None
-
 
 @dataclass(frozen=True)
 class Sphere(_RoundSphere):
-    """Sphere of given radius about the origin of R^dim, dim >= 2."""
+    """Sphere of given radius about the origin of R^dim, 2 <= dim <= MAX_SPHERE_DIM."""
 
     dim: int = 3
     radius: float = 1.0
@@ -178,6 +232,8 @@ class Sphere(_RoundSphere):
     def __post_init__(self):
         if not isinstance(self.dim, numbers.Integral) or self.dim < 2:  # bools are < 2
             raise UnsupportedShape(f"sphere ambient dim must be an int >= 2, got {self.dim!r}")
+        if self.dim > MAX_SPHERE_DIM:
+            raise SizeLimit(f"sphere ambient dim must be <= {MAX_SPHERE_DIM}, got {self.dim}")
         _check_finite(self, "radius")
         if not (self.radius > 0):
             raise UnsupportedShape(f"sphere radius must be > 0, got {self.radius}")
@@ -190,19 +246,6 @@ class Sphere(_RoundSphere):
     def label(self) -> str:
         return f"sphere(dim={self.dim},R={self.radius:g})"
 
-    def _candidates(self, count):
-        return count * self.dim
-
-    def _draw_pass(self, rngs, count, centers, radius):
-        if len(rngs) == 1:
-            g = rngs[0].normal(size=(1, count, self.dim))
-        else:
-            g = np.empty((len(rngs), count, self.dim))
-            for rng, block in zip(rngs, g):
-                block[...] = rng.normal(size=(count, self.dim))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        return (g * self.radius).reshape(-1, self.dim), None
-
 
 @dataclass(frozen=True)
 class Ellipse(Shape):
@@ -212,6 +255,8 @@ class Ellipse(Shape):
     b: float
     kind = "ellipse"
     ambient_dim = 2
+    _width = 2
+    _whole = np.array([[-math.pi, 2.0 * math.pi]])
 
     def __post_init__(self):
         _check_finite(self, "a", "b")
@@ -308,25 +353,23 @@ class Ellipse(Shape):
             raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
         return foot
 
-    def _candidates(self, count):
-        return _thinning_draws(count)
-
-    def _draw_pass(self, rngs, count, centers, radius):
-        # angle proposal thinned to arc-length measure; the cosines and sines
-        # of the accepted angles are those the thinning computed
+    def _window(self, centers, radius):
+        # rows (first angle, span). Ellipse points an angle t apart lie at
+        # least 2 b sin(|t| / 2) apart, so a window about the point c' of c's
+        # angle holds every point within radius + |c - c'| of c'
         a, b = self.a, self.b
+        t = np.arctan2(a * centers[:, 1], b * centers[:, 0])
+        gap = row_norms(centers - np.column_stack([a * np.cos(t), b * np.sin(t)]))
+        half = _angle_window(radius + gap + 1e-9 * (a + row_norms(centers)), b * b)
+        return np.column_stack([t - half, 2.0 * half])
 
-        def propose(sub, m):
-            th = 2.0 * math.pi * _uniforms(sub, m)
-            cos, sin = np.cos(th), np.sin(th)
-
-            def points(k, owner):
-                pts = np.empty((k.size, 2))
-                pts[:, 0] = a * cos.take(k)
-                pts[:, 1] = b * sin.take(k)
-                return pts, owner
-            return a * _uniforms(sub, m) < np.sqrt((a * sin) ** 2 + (b * cos) ** 2), points
-        return _thinned(rngs, count, propose)
+    def _propose(self, u, g, w):
+        # the angle, thinned to arc length
+        a, b = self.a, self.b
+        t = w[:, 0] + w[:, 1] * u[:, 0]
+        cos, sin = np.cos(t), np.sin(t)
+        return (a * u[:, 1] < np.sqrt((a * sin) ** 2 + (b * cos) ** 2),
+                np.column_stack([a * cos, b * sin]))
 
     def bounding_box(self):
         return np.array([[-self.a, -self.b], [self.a, self.b]])
@@ -347,6 +390,8 @@ class Torus(Shape):
     minor: float
     kind = "torus"
     ambient_dim = 3
+    _width = 3
+    _whole = np.array([[-math.pi, 2.0 * math.pi, -math.pi, 2.0 * math.pi]])
 
     def __post_init__(self):
         _check_finite(self, "major", "minor")
@@ -380,45 +425,31 @@ class Torus(Shape):
             raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
         return spine + v * (self.minor / vn)
 
-    def _candidates(self, count):
-        return _thinning_draws(count)
-
-    def _draw_pass(self, rngs, count, centers, radius):
-        # uniform angles thinned to the area element. With centers, the
-        # coordinates are computed only for the accepted draws inside the
-        # (theta, phi) window of every point within radius of their
-        # generator's center. theta: pivot the z-axis, in the xy-plane,
-        # where the torus point is at least R - rho out and distances only
-        # shrink. phi: pivot the spine point in the meridian half-plane of
-        # the torus point, where it is rho away and the center, rotated into
-        # that half-plane, no farther than before. The window's distance
+    def _window(self, centers, radius):
+        # rows (first theta, span, first phi, span). theta: pivot the z-axis,
+        # in the xy-plane, where the torus point is at least R - rho out and
+        # distances only shrink. phi: pivot the spine point in the meridian
+        # half-plane of the torus point, where it is rho away and the center,
+        # rotated into that half-plane, no farther than before. The distance
         # takes a 1e-9 relative slack past the rounding of the coordinates
         # and of the exact test.
         R, rho = self.major, self.minor
-        if centers is not None:
-            window = _torus_windows(R, rho, centers, radius)
+        cx, cy, cz = centers.T
+        axial = np.hypot(cx, cy)
+        dist = radius + 1e-9 * (R + rho + axial + np.abs(cz))
+        th = _angle_window(dist, (R - rho) * axial)
+        ph = _angle_window(dist, rho * np.hypot(axial - R, cz))
+        return np.column_stack([np.arctan2(cy, cx) - th, 2.0 * th,
+                                np.arctan2(cz, axial - R) - ph, 2.0 * ph])
 
-        def propose(sub, m):
-            th = 2.0 * math.pi * _uniforms(sub, m)
-            ph = 2.0 * math.pi * _uniforms(sub, m)
-            cos_ph = np.cos(ph)
-
-            def points(k, owner):
-                t, p = th.take(k), ph.take(k)
-                if centers is not None:
-                    w = window if owner is None else window[owner]
-                    inside = np.flatnonzero(_in_window(t, w[:, 0], w[:, 1])
-                                            & _in_window(p, w[:, 2], w[:, 3]))
-                    k, t, p = k[inside], t[inside], p[inside]
-                    owner = None if owner is None else owner[inside]
-                ring = R + rho * cos_ph.take(k)
-                pts = np.empty((k.size, 3))
-                pts[:, 0] = ring * np.cos(t)
-                pts[:, 1] = ring * np.sin(t)
-                pts[:, 2] = rho * np.sin(p)
-                return pts, owner
-            return (R + rho) * _uniforms(sub, m) < (R + rho * cos_ph), points
-        return _thinned(rngs, count, propose)
+    def _propose(self, u, g, w):
+        # the two angles, thinned to the area element
+        R, rho = self.major, self.minor
+        th = w[:, 0] + w[:, 1] * u[:, 0]
+        ph = w[:, 2] + w[:, 3] * u[:, 1]
+        ring = R + rho * np.cos(ph)
+        return (R + rho) * u[:, 2] < ring, np.column_stack(
+            [ring * np.cos(th), ring * np.sin(th), rho * np.sin(ph)])
 
     def bounding_box(self):
         e = self.major + self.minor
@@ -513,74 +544,38 @@ class FinitePointSet(Shape):
 
 def _check_finite(shape, *names):
     """Raise UnsupportedShape unless the named fields of shape are finite
-    real numbers. Finite parameters keep the thinned samplers' acceptance
-    above b/a (ellipse) and (R - rho)/(R + rho) (torus), so they end."""
+    real numbers. Finite parameters keep the whole-shape thinning's
+    acceptance above b/a (ellipse) and (R - rho)/(R + rho) (torus), so
+    sample ends."""
     for name in names:
         value = getattr(shape, name)
         if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
             raise UnsupportedShape(f"{shape.kind} {name} must be a finite real, got {value!r}")
 
 
-# the most points (generators times count) one pass of a stacked sampler draws
-_PASS_DRAWS = 1 << 13
+# rounds of a stacked sampler before a generator still short gives up
+_ROUNDS = 64
 
 
-def _uniforms(rngs, m):
-    """(len(rngs), m) array whose row i is rngs[i].random(m)."""
+def _draws(rngs, m, width, normals):
+    """(u, g): generator i's m[i] candidates take the rows of
+    rngs[i].random((m[i], width)), then of rngs[i].standard_normal((m[i],
+    normals)), the generators in turn; u is None at width 0, g at normals 0."""
     if len(rngs) == 1:
-        return rngs[0].random((1, m))
-    out = np.empty((len(rngs), m))
-    for rng, row in zip(rngs, out):
-        rng.random(out=row)
-    return out
-
-
-def _thinning_draws(need):
-    """Candidates a thinned sampler draws in a round for `need` more points."""
-    return max(64, 2 * need)
-
-
-def _thinned(rngs, count, propose):
-    """(points, owner) of count accepted draws on each generator in turn,
-    owner None for a lone one. propose(sub, m) draws m candidates on each of
-    sub and returns their acceptance mask and points(k, owner): the points
-    and owners of flat indices k, less any it drops. Several generators stack
-    a first round; one still short finishes alone, as it would draw alone."""
-    parts, short = [], [(0, count)]
-    if len(rngs) > 1:
-        m = _thinning_draws(count)
-        accept, points = propose(rngs, m)
-        taken = np.cumsum(accept, axis=1)
-        k = (accept & (taken <= count)).ravel().nonzero()[0]
-        parts.append(points(k, k // m))
-        short = [(i, count - n) for i, n in enumerate(taken[:, -1].tolist()) if n < count]
-    for i, need in short:
-        while need:
-            accept, points = propose(rngs[i:i + 1], _thinning_draws(need))
-            k = accept.ravel().nonzero()[0][:need]
-            need -= k.size
-            parts.append(points(k, None if len(rngs) == 1 else np.full(k.size, i)))
-    if len(parts) == 1:
-        return parts[0]
-    pts = np.concatenate([p for p, _ in parts])
-    if len(rngs) == 1:
-        return pts, None
-    owner = np.concatenate([o for _, o in parts])
-    order = np.argsort(owner, kind="stable")
-    return pts[order], owner[order]
-
-
-def _torus_windows(R, rho, centers, radius):
-    """Rows (theta center, theta half-width, phi center, phi half-width) of
-    the angle windows about the rows of `centers` that hold every torus
-    point within `radius` of them; see Torus._draw_pass."""
-    cx, cy, cz = centers.T
-    axial = np.hypot(cx, cy)
-    dist = radius + 1e-9 * (R + rho + axial + np.abs(cz))
-    return np.column_stack([np.arctan2(cy, cx) % (2.0 * math.pi),
-                            _angle_window(dist, (R - rho) * axial),
-                            np.arctan2(cz, axial - R) % (2.0 * math.pi),
-                            _angle_window(dist, rho * np.hypot(axial - R, cz))])
+        rng, k = rngs[0], int(m[0])
+        return (rng.random((k, width)) if width else None,
+                rng.standard_normal((k, normals)) if normals else None)
+    total = int(np.sum(m))
+    u = np.empty((total, width)) if width else None
+    g = np.empty((total, normals)) if normals else None
+    start = 0
+    for rng, stop in zip(rngs, np.cumsum(m).tolist()):
+        if width:
+            rng.random(out=u[start:stop])
+        if normals:
+            rng.standard_normal(out=g[start:stop])
+        start = stop
+    return u, g
 
 
 def _angle_window(dist, scale):
@@ -591,18 +586,14 @@ def _angle_window(dist, scale):
     for any scale <= q q'; pi (no window) where that bound covers the turn."""
     with np.errstate(divide="ignore"):
         x = dist / (2.0 * np.sqrt(scale))
-    return np.where(x >= 1.0, math.pi, 2.0 * np.arcsin(np.minimum(x, 1.0)) + 1e-9)
-
-
-def _in_window(angle, center, half_width):
-    """Mask of the angles within half_width of center around the circle, both
-    in [0, 2 pi]; a half-width of pi passes every angle."""
-    off = np.abs(angle - center)
-    return (off <= half_width) | (off >= 2.0 * math.pi - half_width)
+    return np.minimum(2.0 * np.arcsin(np.minimum(x, 1.0)) + 1e-9, math.pi)
 
 
 def _pick(points, count, rng):
-    """`count` uniform rows; one row takes rng.integers' cheaper scalar path, same draw."""
+    """`count` uniform rows, none of none; one row takes rng.integers' cheaper
+    scalar path, same draw."""
+    if not points.shape[0]:
+        return points
     if count == 1:
         i = rng.integers(0, points.shape[0])
         return points[i:i + 1]
@@ -665,9 +656,10 @@ def _check_count(count) -> None:
 
 
 def _check_seed(seed) -> None:
-    """The one rule on a seed, of sample and of the checkers' trial streams."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInput(f"seed must be >= 0 and an integer, got {seed!r}")
+    """The one rule on a seed, of sample and of the checkers' trial streams:
+    an integer in [0, 2**64), the first word of a trial's Philox key."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise InvalidInput(f"seed must be >= 0 and an integer below 2**64, got {seed!r}")
 
 
 def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -676,15 +668,22 @@ def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
     return _shape(shape).sample(count, rng)
 
 
-def sample_stacked(shape, rngs, count: int, centers=None, radius=None, first=None) -> tuple:
+def sample_stacked(shape, rngs, count, centers=None, radius=None) -> tuple:
     """(rows, counts): for each generator of the sequence `rngs` in turn,
-    the rows of sample_rng(shape, count, rng), or with `centers` (one row
-    per generator) those of them within Euclidean `radius` of the
-    generator's center; with the integer array `first`, only the first
-    first[i] rows of rngs[i]. counts[i] rows come from rngs[i], which ends
-    as sample_rng leaves it."""
-    _check_count(count)
-    return _shape(shape).sample_stacked(rngs, count, centers, radius, first)
+    `count` (an integer, or one per generator) uniform points on the shape,
+    the rows of sample_rng(shape, count, rng); or with `centers` (one row
+    per generator) uniform points on the patch within Euclidean `radius` of
+    the generator's center. counts[i] rows come from rngs[i]; a generator
+    whose patch sampler runs out of rounds gives fewer (see Shape)."""
+    if np.ndim(count) == 0:
+        _check_count(count)
+    else:
+        counts = np.asarray(count)
+        if counts.shape != (len(rngs),) or counts.dtype.kind not in "iu" or (
+                counts.size and counts.min() < 1):
+            raise InvalidInput(f"count must be >= 1 and an integer, or one per generator, "
+                               f"got {count!r}")
+    return _shape(shape).sample_stacked(rngs, count, centers, radius)
 
 
 def sample(shape, count: int, seed: int) -> np.ndarray:

@@ -69,6 +69,7 @@ def test_parse_config_all_shape_kinds():
     "shape=circle radius=1\nr=0.5\nk=9",        # k out of range
     "shape=circle radius=1\nr=0.5\ntrials=-1",  # negative trials
     "shape=circle radius=1\nr=0.5\nseed=-1",    # negative seed
+    "shape=circle radius=1\nr=0.5\nseed=18446744073709551616",  # seed 2**64: past the key
     "shape=circle radius=1\nr=0.5\nseed=1.5",   # non-integral counts
     "shape=circle radius=1\nr=0.5\nk=2.5",
     "shape=circle radius=1\nr=0.5\ntrials=2.5",
@@ -81,6 +82,7 @@ def test_parse_config_all_shape_kinds():
     "shape=torus major=inf minor=1 r=0.5",     # non-finite shape parameters
     "shape=circle radius=inf r=0.5",
     "shape=sphere dim=3 radius=inf r=0.5",
+    "shape=sphere dim=1000000000 radius=1 r=0.5",   # above the dimension cap
     "shape=ellipse a=1e400 b=1 r=0.2 tightness=1",
 ))
 def test_parse_config_rejections(text):
@@ -197,6 +199,12 @@ def test_cli_verify_pass_and_fail_paths(tmp_path):
 
     res = run_cli("verify", str(tmp_path / "missing.txt"))
     assert res.returncode == 2
+
+    big = tmp_path / "big-seed.txt"
+    big.write_text(GOOD.replace("seed=7", f"seed={2**64}"))
+    res = run_cli("verify", str(big))
+    assert res.returncode == 2
+    assert "seed" in res.stderr
 
 
 def test_cli_verify_out_file_and_json(tmp_path):

@@ -3,9 +3,11 @@
 parse_config and parse_measure_text either answer or raise a ThickenError,
 whatever the text. Besides arbitrary text, values come from a pool of edge
 cases: non-finite and overflowing numbers, negative zero, fractions where
-integers belong, empty values and stray commas. A config that parses names
-a shape with a finite, positive reach and a finite bounding box, the
-bounds its samplers need to end. Nothing here samples or runs a campaign.
+integers belong, empty values, stray commas, large dimensions and seeds. A
+config that parses names a shape with a finite, positive reach, a finite
+bounding box and at most 64 dimensions, the bounds its samplers need to end
+in bounded memory, and a seed below 2**64. Nothing here samples or runs a
+campaign.
 """
 import dataclasses
 import math
@@ -20,7 +22,7 @@ from thicken import Measure, ThickenError, parse_config, parse_measure_text, rea
 from thicken.shapes import SHAPE_KINDS  # noqa: E402
 
 NUMBERS = ("inf", "-inf", "nan", "1e400", "1e308", "1.5e308", "1e200", "1e-200", "-0", "0",
-           "2.5", "1", "3", "0.5", "-1", "")
+           "2.5", "1", "3", "0.5", "-1", "", "64", "65", "1000000000", "18446744073709551616")
 VALUES = NUMBERS + (",", ",,", "1,", ",1", "0.5,,0.9", "0.5,inf", "1,2;3,4", "0,0;inf,0",
                     "1e308;-1e308", ";", "Convex", "VrTub,", "Convex,,EmptyBall", "vr", "cech",
                     "all", "yes", "x")
@@ -51,6 +53,7 @@ def _parse_config(text):
     except ThickenError:
         return
     assert 0.0 < reach(cfg.shape) < math.inf
+    assert cfg.shape.ambient_dim <= 64 and 0 <= cfg.seed < 2**64
     assert np.isfinite(cfg.shape.bounding_box()).all()
     assert cfg.lemmas and all(0.0 < r < math.inf for r in cfg.rs)
 
@@ -76,6 +79,7 @@ def test_parsers_answer_or_raise_on_any_text(text):
 @example("shape=torus major=inf minor=1 r=0.5")    # sampling it never ended
 @example("shape=circle radius=inf r=0.5")
 @example("shape=finite points=1e308;-1e308 r=0.5")
+@example("shape=sphere dim=1000000000 radius=1 r=0.5")   # count x 1e9 normals a draw
 def test_parse_config_answers_with_a_bounded_shape_or_raises(text):
     _parse_config(text)
 

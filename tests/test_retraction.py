@@ -31,7 +31,7 @@ from thicken import (
     sample_rng,
     thickening_distance,
 )
-from thicken.retraction import CSV_COLUMNS, _trial_rngs
+from thicken.retraction import CSV_COLUMNS, _stream, _trial_rngs
 
 from test_thickening import vr_measure_on
 
@@ -242,34 +242,35 @@ def test_checker_reports_are_seed_deterministic():
 
 
 # These rows fix the checkers' output bytes; a faster trial loop must
-# reproduce every one of them exactly.
+# reproduce every one of them exactly. They were taken on the Philox trial
+# streams and the window samplers.
 PINNED_ROWS = {
-    "CechRadius,torus(R=3,rho=1),0.9,4,200,0,0,-0.109493883634,7":
+    "CechRadius,torus(R=3,rho=1),0.9,4,200,0,0,-0.133225946723,7":
         lambda: check_cech_radius_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7),
-    "CechSimplexAmbient,torus(R=3,rho=1),0.9,4,200,0,0,-7.21646974097e-05,7":
+    "CechSimplexAmbient,torus(R=3,rho=1),0.9,4,200,0,0,-0.00403135632857,7":
         lambda: check_cech_simplex_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7, flavor="ambient"),
-    "CechSimplexIntrinsic,torus(R=3,rho=1),0.9,4,200,0,0,-0.000345014988796,7":
+    "CechSimplexIntrinsic,torus(R=3,rho=1),0.9,4,200,0,0,-0.00210153553805,7":
         lambda: check_cech_simplex_lemma(Torus(3.0, 1.0), 0.9, 4, 200, 7, flavor="intrinsic"),
-    "CechSimplexIntrinsic,circle(R=1),0.9,4,200,0,0,-0.032985575754,7":
+    "CechSimplexIntrinsic,circle(R=1),0.9,4,200,0,0,-0.00932506638732,7":
         lambda: check_cech_simplex_lemma(Circle(1.0), 0.9, 4, 200, 7, flavor="intrinsic",
                                          strict=True),
     "CechSimplexIntrinsic,zerosphere,0.75,4,200,0,0,-0.75,7":
         lambda: check_cech_simplex_lemma(ZeroSphere(), 0.75, 4, 200, 7, flavor="intrinsic"),
-    "VrSimplex,ellipse(a=2,b=1),0.45,4,200,0,0,-0.073935640017,7":
+    "VrSimplex,ellipse(a=2,b=1),0.45,4,200,0,0,-0.0673696406435,7":
         lambda: check_vr_simplex_lemma(Ellipse(2.0, 1.0), 0.45, 4, 200, 7),
-    "Convex,sphere(dim=3,R=1),0.5,4,200,0,0,-0.0628990149614,7":
+    "Convex,sphere(dim=3,R=1),0.5,4,200,0,0,-0.0323968624244,7":
         lambda: check_convex_lemma(Sphere(3, 1.0), 0.5, 4, 200, 7),
-    "EmptyBall,torus(R=3,rho=1),1,0,200,0,0,-3.15796278016e-11,7":
+    "EmptyBall,torus(R=3,rho=1),1,0,200,0,0,-5.46946932189e-11,7":
         lambda: check_empty_ball(Torus(3.0, 1.0), 200, 7),
-    "FedererLipschitz,sphere(dim=3,R=1),0.5,0,200,0,0,-0.323086097556,7":
+    "FedererLipschitz,sphere(dim=3,R=1),0.5,0,200,0,0,-0.26428284105,7":
         lambda: check_federer(Sphere(3, 1.0), 0.5, 200, 7),
-    "VrSimplex,torus(R=3,rho=1),0.5,4,200,0,0,-0.0710834456444,7":
+    "VrSimplex,torus(R=3,rho=1),0.5,4,200,0,0,-0.0388119347496,7":
         lambda: check_vr_simplex_lemma(Torus(3.0, 1.0), 0.5, 4, 200, 7),
-    "VrTub,ellipse(a=2,b=1),0.25,4,200,0,0,-0.240762031288,7":
+    "VrTub,ellipse(a=2,b=1),0.25,4,200,0,0,-0.239597202472,7":
         lambda: check_vr_tub_lemma(Ellipse(2.0, 1.0), 0.25, 4, 200, 7),
-    "CechTub,circle(R=1),0.45,4,200,0,0,-0.369595773408,7":
+    "CechTub,circle(R=1),0.45,4,200,0,0,-0.345875845797,7":
         lambda: check_cech_tub_lemma(Circle(1.0), 0.45, 4, 200, 7),
-    "EmptyBall,sphere(dim=5,R=2),2,0,200,0,0,2.90212298637e-13,7":
+    "EmptyBall,sphere(dim=5,R=2),2,0,200,0,0,1.62092561595e-13,7":
         lambda: check_empty_ball(Sphere(5, 2.0), 200, 7),
 }
 
@@ -279,22 +280,32 @@ def test_checker_rows_are_pinned(row):
     assert ",".join(PINNED_ROWS[row]().csv_fields().values()) == row
 
 
+def philox_state(rng):
+    """A Philox generator's state as comparable lists."""
+    st = rng.bit_generator.state
+    return (st["state"]["key"].tolist(), st["state"]["counter"].tolist(), st["buffer"].tolist(),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
 def test_trial_streams_match_default_rng():
-    # the reseeded trial generator walks default_rng((seed, t))'s stream,
-    # across its 4096-trial blocks, at both ends of the uint32 seed range and
-    # past it, where it falls back to default_rng itself
-    for seed in (0, 12, 2**32 - 1, 2**40):
-        for t, rng in enumerate(_trial_rngs(seed, 4100)):
-            if t % 97 and t not in (4095, 4096, 4099):
+    # the rekeyed pooled generator of trial t is on the stream of Philox
+    # keyed by (seed, t), across its 256-trial blocks and over the whole
+    # seed range
+    for seed in (0, 12, 2**32 - 1, 2**40, 2**64 - 1):
+        for t, rng in enumerate(_trial_rngs(seed, 600)):
+            if t % 97 and t not in (255, 256, 599):
                 continue
-            ref = np.random.default_rng((seed, t))
-            assert rng.bit_generator.state == ref.bit_generator.state
+            ref = np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
+            assert philox_state(rng) == philox_state(ref) == philox_state(_stream(seed, t))
+            assert rng.bit_generator.state["state"]["key"].tolist() == [seed, t]
             assert rng.integers(0, 7, size=3).tolist() == ref.integers(0, 7, size=3).tolist()
             assert rng.normal() == ref.normal()
     with pytest.raises(InvalidInput, match="seed must be >= 0"):
         next(_trial_rngs(-1, 3))
     with pytest.raises(InvalidInput, match="seed must be >= 0 and an integer"):
         next(_trial_rngs(1.5, 3))
+    with pytest.raises(InvalidInput, match="below 2"):
+        next(_trial_rngs(2**64, 3))
 
 
 @pytest.mark.parametrize("seed", (1027, 1028))
@@ -357,9 +368,9 @@ RANGED_CHECKERS = {
     for r, k in ((0.5, -1), (0.0, 2), (-0.5, 2))
     if k >= 0 or lemma != "FedererLipschitz"] + [
     pytest.param(lemma, 0.5, 2, seed, id=f"{lemma}-seed={seed}") for lemma in RANGED_CHECKERS
-    for seed in (-1, 1.5)])
+    for seed in (-1, 1.5, 2**64)])
 def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k, seed):
-    # ... and a seed that is not an integer >= 0, sample's own seed rule
+    # ... and a seed that is not an integer in [0, 2**64), sample's own seed rule
     with pytest.raises(InvalidInput):
         RANGED_CHECKERS[lemma](r, k, seed)
 
@@ -369,11 +380,14 @@ def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k, seed):
 BAD_ARGUMENTS = {
     "empty-ball trials": lambda: check_empty_ball(Torus(3.0, 1.0), -1, 1),
     "empty-ball seed": lambda: check_empty_ball(Circle(1.0), 5, -1),
+    "empty-ball seed 2**64": lambda: check_empty_ball(Circle(1.0), 5, 2**64),
     "empty-ball fractional trials": lambda: check_empty_ball(Circle(1.0), 2.5, 1),
     "intrinsic trials": lambda: check_cech_simplex_lemma(Circle(1.0), 0.5, 3, -2, 1,
                                                          flavor="intrinsic"),
     "intrinsic seed": lambda: check_cech_simplex_lemma(Circle(1.0), 0.5, 3, 2, -1,
                                                        flavor="intrinsic"),
+    "intrinsic seed 2**64": lambda: check_cech_simplex_lemma(Circle(1.0), 0.5, 3, 2, 2**64,
+                                                             flavor="intrinsic"),
     "fractional k": lambda: check_vr_tub_lemma(Circle(1.0), 0.5, 2.5, 5, 1),
     "fractional k, finite": lambda: check_vr_tub_lemma(
         FinitePointSet(((0.0, 0.0), (0.3, 0.0), (0.0, 0.4))), 0.5, 2.5, 5, 1),

@@ -1,11 +1,11 @@
-"""The torus patch sampler against whole-shape sampling.
+"""The torus patch sampler's angle window against whole-shape sampling.
 
-Given a center, the torus's sample_stacked draws what it draws without one
-and computes coordinates only inside an angle window around the center. It
-must return exactly the rows of sample-then-filter and leave the generator
-in the same state, for centers on both sides of the theta and phi wrap, on
-the axis and on the spine, radii from tiny to past the window's saturation,
-and batches from 1 to 4096 draws.
+Given a center, the torus's sample_stacked proposes its candidates only in a
+(theta, phi) window around the center. Its law is that of sample-then-filter
+when every torus point within the radius lies in the window: checked for
+every point that sample-then-filter keeps, for centers on both sides of the
+theta and phi wrap, on the axis and on the spine, and radii from tiny to
+past the window's saturation. The patch rows must lie within the radius.
 """
 import math
 
@@ -66,10 +66,15 @@ def test_torus_sample_patch_is_sample_then_filter(which, th, ph, off, radius_kin
     torus = TORI[which]
     center = _center(torus, th, ph, off)
     radius = _radius(torus, center, *radius_kind)
-    ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    cand = sample_rng(torus, count, ref)
-    want = cand[row_norms(cand - center) <= radius]
-    got = sample_stacked(torus, [new], count, center[None], radius)[0]
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert new.bit_generator.state == ref.bit_generator.state
+    cand = sample_rng(torus, 50 * count, np.random.default_rng(seed))
+    near = cand[row_norms(cand - center) <= radius]
+    th_lo, th_span, ph_lo, ph_span = torus._window(center[None], radius)[0]
+    theta = np.arctan2(near[:, 1], near[:, 0])
+    phi = np.arctan2(near[:, 2], np.hypot(near[:, 0], near[:, 1]) - torus.major)
+    assert ((theta - th_lo) % TWO_PI <= th_span).all()
+    assert ((phi - ph_lo) % TWO_PI <= ph_span).all()
+    rows, got = sample_stacked(torus, [np.random.default_rng(seed)], count, center[None], radius)
+    assert rows.shape == (got[0], 3) and got[0] <= count
+    assert (row_norms(rows - center) <= radius).all()
+    if near.shape[0] >= 5 * count + 20:   # a patch of a fair share of the torus fills
+        assert got[0] == count

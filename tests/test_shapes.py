@@ -12,6 +12,7 @@ from thicken import (
     InvalidInput,
     MedialAxisProximity,
     Sphere,
+    SizeLimit,
     Torus,
     UnsupportedShape,
     ZeroSphere,
@@ -63,6 +64,11 @@ def test_constructor_guards():
         with pytest.raises(UnsupportedShape):
             make()
     assert reach(Sphere(np.int64(3), 2.0)) == 2.0
+    # one sphere point costs dim normals: the dimension is capped
+    for dim in (65, 1000000000):
+        with pytest.raises(SizeLimit):
+            Sphere(dim, 1.0)
+    assert ambient_dim(Sphere(64, 1.0)) == 64
 
 
 @pytest.mark.parametrize("call", (
@@ -136,8 +142,11 @@ def test_sample_count_must_be_positive():
         with pytest.raises(InvalidInput, match="count must be >= 1"):
             sample_stacked(Torus(3.0, 1.0), [np.random.default_rng(1)], count,
                            np.zeros((1, 3)), 1.0)
+    for count in ([1, 0], [1.0, 2.0], [1, 2, 3], [[1, 2]]):
+        with pytest.raises(InvalidInput, match="count must be >= 1"):
+            sample_stacked(Torus(3.0, 1.0), [np.random.default_rng(1)] * 2, count)
     # the seed rule of sample is the checkers' (tests/test_retraction.py)
-    for seed in (-1, 1.5, None, "1"):
+    for seed in (-1, 1.5, None, "1", 2**64):
         with pytest.raises(InvalidInput, match="seed must be >= 0"):
             sample(Circle(1.0), 3, seed)
     assert sample(Circle(1.0), np.int64(2), np.int64(3)).shape == (2, 2)
@@ -145,20 +154,33 @@ def test_sample_count_must_be_positive():
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=shape_label)
 def test_sample_patch_is_sample_then_filter(shape):
-    # the same rows and generator state as drawing the whole-shape batch and
-    # keeping the rows within the radius (tests/test_shape_properties.py
-    # covers the torus window's edges)
-    for seed in range(8):
-        for count in (1, 128, 1000):
-            rng = np.random.default_rng(seed)
-            center = sample_rng(shape, 1, rng)[0]
-            radius = (0.1, 0.5, 1.5, 5.0)[seed % 4] * reach(shape)
-            ref, new = np.random.default_rng((seed, count)), np.random.default_rng((seed, count))
-            cand = sample_rng(shape, count, ref)
-            want = cand[row_norms(cand - center) <= radius]
-            got = sample_stacked(shape, [new], count, center[None], radius)[0]
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert new.bit_generator.state == ref.bit_generator.state
+    # the patch sampler draws the law of sampling the whole shape and keeping
+    # the points within the radius: a seeded two-sample Kolmogorov-Smirnov
+    # test of the distance to the center and of a coordinate, at patch radii
+    # from a third of the reach to past the shape; a finite kind picks
+    # uniform rows of the rows within the radius, checked exactly
+    # (tests/test_shape_properties.py covers the torus window's edges)
+    from scipy.stats import ks_2samp
+
+    fin = shape.finite_points()
+    for seed, share in enumerate((0.3, 0.9, 3.0)):
+        center = sample_rng(shape, 1, np.random.default_rng(seed))[0]
+        radius = share * reach(shape)
+        rng, ref = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+        got = sample_stacked(shape, [rng], 2000, center[None], radius)[0]
+        if fin is not None:
+            pool = fin[row_norms(fin - center) <= radius]
+            assert got.tobytes() == pool[ref.integers(0, len(pool), size=2000)].tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+            continue
+        assert got.shape == (2000, ambient_dim(shape))
+        want = np.empty((0, ambient_dim(shape)))
+        while want.shape[0] < 2000:
+            cand = sample_rng(shape, 200_000, ref)
+            want = np.concatenate((want, cand[row_norms(cand - center) <= radius]))
+        axis = np.random.default_rng(seed).normal(size=ambient_dim(shape))
+        for stat in (lambda x: row_norms(x - center), lambda x: x @ axis):
+            assert ks_2samp(stat(got), stat(want[:2000])).pvalue > 1e-4
 
 
 def test_sample_is_seed_deterministic():

@@ -10,9 +10,10 @@ import pytest
 from thicken import (Circle, ComplexSpec, Ellipse, FinitePointSet, Measure, MedialAxisProximity,
                      Sphere, Torus, ZeroSphere, homotopy_H, make_thickening_point, reach,
                      retract, thickening_distance, wasserstein1)
-from thicken import retraction, shapes
+from thicken import retraction
 from thicken.retraction import SUITES
 
+from test_retraction import philox_state
 from test_thickening import vr_measure_on
 from test_transport import random_measure
 
@@ -38,19 +39,19 @@ def _rows(shapes_, seeds, trials):
 
 def test_simplex_suite_rows_are_pinned():
     # 216 rows over the six simplex suites, six shapes, three seeds and two
-    # scales; the digest was taken from the trial-by-trial loop that lockstep
-    # blocks replaced
+    # scales; the digest was taken on the Philox trial streams and the
+    # window samplers
     digest = hashlib.sha256()
     for row in _rows(SHAPES, (1, 2, 3), 150):
         digest.update(row.encode() + b"\n")
-    assert digest.hexdigest() == "99e944edbc74d5eb9dd4598ebf3b47cb154c742e5cacd06625c08890699639f6"
+    assert digest.hexdigest() == "c05e2252893c858f231bacdfb698e4f5fb8524a259dcf94f7146b60376e19156"
 
 
 @pytest.mark.parametrize("size", (1, 3))
 def test_block_size_and_pass_cap_change_no_row(monkeypatch, size):
+    # each trial keeps its own stream and draws, whatever block it runs in
     want = list(_rows(SHAPES, (4,), 40))
     monkeypatch.setattr(retraction, "_BLOCK", size)
-    monkeypatch.setattr(shapes, "_PASS_DRAWS", size)
     assert list(_rows(SHAPES, (4,), 40)) == want
 
 
@@ -58,9 +59,8 @@ def test_trial_generators_of_a_block_are_distinct():
     streams = retraction._trial_rngs(3, 2 * retraction._BLOCK + 5)
     block = [next(streams) for _ in range(retraction._BLOCK)]
     assert len(set(map(id, block))) == len(block)
-    states = [g.bit_generator.state for g in block]
-    assert states == [np.random.default_rng((3, t)).bit_generator.state
-                      for t in range(len(block))]
+    states = [philox_state(g) for g in block]
+    assert states == [philox_state(retraction._stream(3, t)) for t in range(len(block))]
 
 
 def test_one_projection_per_thickening_point(monkeypatch):
