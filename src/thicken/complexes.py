@@ -35,6 +35,7 @@ _MAX_DIM = 6
 _MAX_VR_POINTS = 2000
 _MAX_CECH_POINTS = 300
 _MAX_BALL_DIM = 10
+_MAX_BALL_COORD = 1e150  # square distances stay finite in R^_MAX_BALL_DIM
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,30 @@ def min_enclosing_ball(points: Sequence) -> MinBallResult:
     if not (isinstance(points, np.ndarray) and points.ndim == 2):
         points = [as_point(p) for p in points]
     pts = _check_ball_dim(as_points(points))
-    if pts.shape[0] == 1:
-        return MinBallResult(tuple(map(float, pts[0])), 0.0)
-    if pts.shape[0] == 2:
-        center = 0.5 * (pts[0] + pts[1])
+    if np.abs(pts).max() > _MAX_BALL_COORD:
+        raise SizeLimit(f"min_enclosing_ball supports coordinates up to {_MAX_BALL_COORD:g}")
+    if pts.shape[0] < 3:  # the midpoint, which is the point itself for one row
+        center = 0.5 * (pts[0] + pts[-1])
         return MinBallResult(tuple(map(float, center)), norm(pts[0] - center))
     center, radius = _welzl(pts)
     # sharpen the radius to the farthest point actually enclosed
     radius = max_row_norm(pts - center)
     return MinBallResult(tuple(map(float, center)), radius)
+
+
+def _ball_radius_bound(pts: np.ndarray) -> float:
+    """Upper bound on min_enclosing_ball(pts).radius, the radius itself for one
+    or two rows: the lesser of the largest distances from the centroid and
+    from _welzl's center for a diametral pair in either order (the farther),
+    which is not below the rounded radius where the ball lies on that pair."""
+    if pts.shape[0] < 3:  # min_enclosing_ball's closed form
+        return norm(pts[0] - 0.5 * (pts[0] + pts[-1]))
+    i, j = divmod(int(_square_distances(pts).argmax()), pts.shape[0])
+    # _ball_from_support's centers: pts[i] + step, and pts[j] - step exactly
+    V = pts[[j]] - pts[i]
+    step = (0.5 * np.einsum("ij,ij->i", V, V) / (V @ V.T)[0, 0]) @ V
+    pair = max(max_row_norm(pts - (pts[i] + step)), max_row_norm(pts - (pts[j] - step)))
+    return min(max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]), pair)
 
 
 def _check_ball_dim(pts: np.ndarray) -> np.ndarray:
@@ -173,6 +189,18 @@ def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
     return math.sqrt((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
 
 
+def _radius_bounds(stacks: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Upper bounds on the smallest enclosing ball radius of each support of
+    a (g, k, n) array, d2 their square distances: the lesser of the largest
+    distances from the centroid and from the midpoint of a diametral pair."""
+    g, k, _ = stacks.shape
+    i, j = np.divmod(d2.reshape(g, -1).argmax(axis=1), k)
+    rows = np.arange(g)
+    centers = (stacks.sum(axis=1) / k, (stacks[rows, i] + stacks[rows, j]) / 2)
+    far = [np.sqrt(((stacks - c[:, None, :]) ** 2).sum(axis=2).max(axis=1)) for c in centers]
+    return np.minimum(*far)
+
+
 def is_vr_simplex(s, spec: ComplexSpec) -> bool:
     """Diameter within scale, strictness-aware."""
     if spec.flavor != "vr":
@@ -191,23 +219,21 @@ def is_cech_simplex_ambient(s, spec: ComplexSpec) -> bool:
     """Smallest enclosing ball radius within scale/2, strictness-aware.
 
     Rigorous radius bounds come first, in this order: the largest distance
-    from the best vertex (above), half the diameter (below), the largest
-    distance from the centroid (above). The ball itself is computed only
-    when they straddle the threshold."""
+    from the best vertex (above), half the diameter (below), _radius_bounds
+    (above), which finds the ball on short arcs and small patches: there it
+    lies on a diametral pair. The ball itself is computed only when they
+    straddle the threshold, and bound_verdicts computes the same bounds."""
     if spec.flavor != "cech-ambient":
         raise InvalidInput(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
     pts = _check_ball_dim(_vertices(s))
     half = spec.scale / 2.0
     band2 = 2.0 * band(half)
-    if pts.shape[0] > 1:
-        d2 = _square_distances(pts)
-        if math.sqrt(d2.max(axis=1).min()) <= half - band2:
-            return True
-        if 0.5 * math.sqrt(d2.max()) >= half + band2:
-            return False
-        if max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]) <= half - band2:
-            return True
-    elif 0.0 <= half - band2:
+    d2 = _square_distances(pts)
+    if math.sqrt(d2.max(axis=1).min()) <= half - band2:
+        return True
+    if 0.5 * math.sqrt(d2.max()) >= half + band2:
+        return False
+    if _radius_bounds(pts[None], d2[None])[0] <= half - band2:
         return True
     ball = min_enclosing_ball(pts)
     return threshold_compare(ball.radius, half, spec.strict)
@@ -274,12 +300,8 @@ def bound_verdicts(stacks: np.ndarray, spec: ComplexSpec, witnesses: np.ndarray)
         return out
     half = spec.scale / 2.0
     band2 = 2.0 * band(half)
-    if k == 1:
-        out[:] = 1 if 0.0 <= half - band2 else -1
-        return out
-    centered = stacks - (stacks.sum(axis=1) / k)[:, None, :]
-    # in is_cech_simplex_ambient's order: best vertex, half diameter, centroid
-    out[np.sqrt((centered * centered).sum(axis=2).max(axis=1)) <= half - band2] = 1
+    # in is_cech_simplex_ambient's order: best vertex, half diameter, _radius_bounds
+    out[_radius_bounds(stacks, d2) <= half - band2] = 1
     out[0.5 * np.sqrt(d2.max(axis=(1, 2))) >= half + band2] = 0
     out[np.sqrt(d2.max(axis=2).min(axis=1)) <= half - band2] = 1
     return out

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .complexes import (ComplexSpec, bound_verdicts, cover_radius, intrinsic_cover, is_simplex,
-                        min_enclosing_ball)
+from .complexes import (ComplexSpec, _ball_radius_bound, bound_verdicts, cover_radius,
+                        intrinsic_cover, is_simplex, min_enclosing_ball)
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
 from .euclid import (apart_by_first_coordinate, band, coincident_pair, coincident_rows,
                      max_row_norm, nearest_distance_query, norm, row_norms)
@@ -296,13 +296,13 @@ def _trial_rngs(seed: int, trials: int):
 
 def _check_cell_args(r, k, trials, seed) -> None:
     """The one rule on a checker's arguments: integers k >= 0 and trials >= 0,
-    r > 0 and a seed the trial streams take. Checkers that draw a set-up
+    a finite r > 0 and a seed the trial streams take. Checkers that draw a set-up
     from them call it first; _run_cell calls it for every checker."""
     for name, value in (("k", k), ("trials", trials)):
         if not isinstance(value, numbers.Integral) or value < 0:
             raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
-    if not r > 0:
-        raise InvalidInput(f"r must be positive, got {r!r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise InvalidInput(f"r must be positive and finite, got {r!r}")
     _check_seed(seed)
 
 
@@ -322,7 +322,9 @@ def _run_cell(lemma_id, shape, r, k, trials, seed, run_block) -> LemmaReport:
     their outcomes. run_block(rngs) gives the outcomes of one block's
     trials, whose generators rngs are on the streams (seed, t): (margin,
     tol), None for a starved trial, or the AmbiguousPredicate of an
-    ambiguous one."""
+    ambiguous one. A lazy margin is a pair (ub, exact) whose exact() <= ub:
+    exact runs only when ub could raise the worst margin or be a violation,
+    so the row is the one the exact margins give."""
     _check_cell_args(r, k, trials, seed)
     amb = starved = viol = 0
     worst = -math.inf
@@ -335,6 +337,9 @@ def _run_cell(lemma_id, shape, r, k, trials, seed, run_block) -> LemmaReport:
                 starved += 1
             else:
                 margin, tol = outcome
+                if type(margin) is tuple:  # lazy: ub stands in where it changes nothing
+                    ub, exact = margin
+                    margin = ub if ub <= min(worst, tol) else exact()
                 if margin > tol:
                     viol += 1
                 worst = max(worst, margin)
@@ -471,27 +476,40 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
     _require_scale_below_reach(shape, r)
     spec = ComplexSpec("cech-" + flavor, 2.0 * r, strict=strict, shape=shape)
     if flavor == "ambient":
-        return _simplex_cell(
-            "CechSimplexAmbient", shape, r, k, trials, seed, spec,
-            lambda pts, lam, y: min_enclosing_ball(
-                _augment(pts, project(shape, lam @ pts))).radius - r)
+        margin = _ambient_margin(shape, r)
+    else:  # its witness pool is drawn once the arguments pass
+        _check_cell_args(r, k, trials, seed)
+        margin = _intrinsic_margin(shape, r, _stream(seed, trials))
+    return _simplex_cell("CechSimplex" + flavor.title(), shape, r, k, trials, seed, spec, margin)
 
-    _check_cell_args(r, k, trials, seed)
-    # repeated centers cannot change the least cover
-    pool = np.unique(sample_rng(shape, 1024, _stream(seed, trials)), axis=0)
 
+def _ambient_margin(shape, r):
+    """CechSimplexAmbient's lazy margin (see _run_cell): the augmented support's
+    min-ball radius less r; the min keeps exact() <= ub in floats."""
+    def margin(pts, lam, y):
+        aug = _augment(pts, project(shape, lam @ pts))
+        ub = _ball_radius_bound(aug)
+        return ub - r, lambda: min(min_enclosing_ball(aug).radius, ub) - r
+    return margin
+
+
+def _intrinsic_margin(shape, r, rng):
+    """CechSimplexIntrinsic's lazy margin (see _run_cell): the augmented support's
+    least cover by y, p or a row of a pool drawn on rng, less r; the min keeps
+    exact() <= ub."""
+    pool = np.unique(sample_rng(shape, 1024, rng), axis=0)  # repeats change no cover
     def margin(pts, lam, y):
         p = project(shape, lam @ pts)
         aug = _augment(pts, p)
-        # candidate centers y, p and the pool; a pool point farther from
-        # aug[0] than the cover of y or p cannot win
-        centers = np.stack((y, p))
-        cover = cover_radius(centers, aug)
-        d = pool - aug[0]
-        near = pool[(d * d).sum(axis=1) <= cover * cover * (1.0 + 1e-9)]
-        return intrinsic_cover(aug, np.concatenate((centers, near)), shape, r) - r
+        ub = cover_radius(np.stack((y, p)), aug)
 
-    return _simplex_cell("CechSimplexIntrinsic", shape, r, k, trials, seed, spec, margin)
+        def exact():
+            # a pool point farther from aug[0] than the cover of y or p cannot win
+            d = pool - aug[0]
+            near = pool[(d * d).sum(axis=1) <= ub * ub * (1.0 + 1e-9)]
+            return min(intrinsic_cover(aug, np.concatenate(((y, p), near)), shape, r), ub) - r
+        return ub - r, exact
+    return margin
 
 
 def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:

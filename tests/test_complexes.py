@@ -105,6 +105,19 @@ def test_min_ball_enclosure_and_degeneracy():
         min_enclosing_ball(np.zeros((2, 11)))
 
 
+@pytest.mark.parametrize("pts", (
+    [[1e154, 1e154], [-1e154, 1e154], [1e154, -1e154]],
+    [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [-1e200, -1e200, -1e200]],
+    [[1e300], [-1e300]],
+    [[1e160, 0.0], [0.0, 1e160], [-1e160, 0.0], [0.0, -1e160]],
+), ids=("three-1e154", "four-1e200-R3", "pair-1e300", "four-1e160"))
+def test_min_ball_refuses_coordinates_whose_squares_overflow(pts):
+    # square distances of these points overflow: the ball would come out NaN
+    # or infinite
+    with pytest.raises(SizeLimit, match="coordinates up to"):
+        min_enclosing_ball(pts)
+
+
 def test_min_ball_jung_bound():
     # classical bound in R^d: radius <= diameter * sqrt(d / (2(d+1)));
     # independent sanity check on the solver

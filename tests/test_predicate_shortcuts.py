@@ -32,7 +32,7 @@ from thicken import (  # noqa: E402
     project,
     sample,
 )
-from thicken import euclid  # noqa: E402
+from thicken import complexes, euclid  # noqa: E402
 from thicken.complexes import bound_verdicts  # noqa: E402
 from thicken.euclid import coincident_pair, diameter, threshold_compare  # noqa: E402
 
@@ -170,3 +170,33 @@ def test_cech_intrinsic_predicate_is_monotone_in_scale(pts, low, high, strict, c
         return _answers(lambda x: is_cech_simplex_intrinsic(x, spec, witnesses), pts)
 
     _monotone(answers, 2.0 * _full_cover(pts, shape, witnesses), low, high)
+
+
+def _arc(n):
+    t = np.linspace(-0.3, 0.3, n)
+    return np.stack((np.cos(t), np.sin(t)), axis=1)
+
+
+def _cap(n):
+    s, c = np.sin(0.3), np.cos(0.3)
+    return np.array(((s, 0.0, c), (-s, 0.0, c), (0.0, np.sin(0.2), np.cos(0.2)), (0.0, 0.0, 1.0),
+                     (0.1, -0.1, np.sqrt(0.98)), (-0.15, 0.1, np.sqrt(0.9675)))[:n])
+
+
+@pytest.mark.parametrize("pts", [f(n) for f in (_arc, _cap) for n in range(3, 7)],
+                         ids=[f"{f.__name__[1:]}-{n}" for f in (_arc, _cap) for n in range(3, 7)])
+def test_diametral_midpoint_decides_short_arcs_and_small_caps(monkeypatch, pts):
+    # the ball lies on the pair at angles -0.3 and 0.3 (radius sin 0.3); the
+    # best-vertex and centroid distances both exceed the scale chosen here,
+    # so only the midpoint of the diametral pair can decide
+    half = np.sin(0.3) * (1.0 + 1e-4)
+    spec = ComplexSpec("cech-ambient", 2.0 * half)
+    assert np.sqrt(((pts - pts.mean(axis=0)) ** 2).sum(axis=1).max()) > half
+    assert min(np.linalg.norm(pts - v, axis=1).max() for v in pts) > half
+
+    def no_ball(points):
+        raise AssertionError("min_enclosing_ball called")
+
+    monkeypatch.setattr(complexes, "min_enclosing_ball", no_ball)
+    assert is_cech_simplex_ambient(pts, spec) is True
+    assert bound_verdicts(pts[None], spec, pts[:1])[0] == 1

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thicken import (
     Circle,
@@ -27,11 +28,13 @@ from thicken import (
     homotopy_H,
     inclusion_iota,
     make_thickening_point,
+    reach,
     retract,
     sample_rng,
     thickening_distance,
 )
-from thicken.retraction import CSV_COLUMNS, _stream, _trial_rngs
+from thicken.retraction import (CSV_COLUMNS, _ambient_margin, _draw_patches, _intrinsic_margin,
+                                _stream, _trial_rngs)
 
 from test_thickening import vr_measure_on
 
@@ -365,12 +368,14 @@ RANGED_CHECKERS = {
 
 @pytest.mark.parametrize("lemma, r, k, seed", [
     pytest.param(lemma, r, k, 1, id=f"{lemma}-{r}-{k}") for lemma in RANGED_CHECKERS
-    for r, k in ((0.5, -1), (0.0, 2), (-0.5, 2))
+    for r, k in ((0.5, -1), (0.0, 2), (-0.5, 2), (math.inf, 2))
     if k >= 0 or lemma != "FedererLipschitz"] + [
     pytest.param(lemma, 0.5, 2, seed, id=f"{lemma}-seed={seed}") for lemma in RANGED_CHECKERS
     for seed in (-1, 1.5, 2**64)])
 def test_checkers_reject_negative_k_and_nonpositive_r(lemma, r, k, seed):
-    # ... and a seed that is not an integer in [0, 2**64), sample's own seed rule
+    # ... an infinite r, whose inf - inf margins the running max would drop
+    # as NaN, and a seed that is not an integer in [0, 2**64), sample's own
+    # seed rule
     with pytest.raises(InvalidInput):
         RANGED_CHECKERS[lemma](r, k, seed)
 
@@ -405,3 +410,49 @@ def test_strict_variant_runs_clean():
     rep = check_cech_simplex_lemma(Circle(1.0), 0.5, 3, 40, seed=5,
                                    flavor="ambient", strict=True)
     assert rep.violations == 0
+
+
+LAZY_SHAPES = (Circle(1.0), Sphere(3, 1.0), Torus(3.0, 1.0), Ellipse(2.0, 1.0))
+
+
+@st.composite
+def lazy_margin_cases(draw):
+    """A shape, r below its reach, a generator and a support of 1-6 atoms
+    around an on-shape y with weights: on-shape atoms in a patch of y, atoms
+    on a line through y, or on-shape atoms whose weight all sits on one
+    vertex, so that the retraction point p coincides with it and _augment
+    merges it."""
+    shape = draw(st.sampled_from(LAZY_SHAPES))
+    kind = draw(st.sampled_from(("patch", "collinear", "vertex")))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    r = draw(st.floats(0.05, 0.9)) * reach(shape)
+    y = sample_rng(shape, 1, rng)[0]
+    if kind == "collinear":
+        u = rng.normal(size=y.size)
+        pts = y + np.outer(rng.uniform(-r, r, n), u / np.linalg.norm(u))
+    elif n == 1:
+        pts = y[None, :]
+    else:
+        rest = _draw_patches(shape, [rng], y[None, :], draw(st.floats(0.01, 2.0)) * r, [n - 1],
+                             exclude_center=True)[0]
+        assume(rest is not None)
+        pts = np.concatenate((y[None, :], rest))
+    lam = rng.exponential(size=n)
+    if kind == "vertex":
+        lam = np.eye(n)[rng.integers(0, n)]
+    return shape, r, pts, lam / lam.sum(), y, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(lazy_margin_cases())
+def test_lazy_margins_never_exceed_their_bound(case):
+    # the cell runner skips exact() when ub already decides the row, which
+    # is sound only if exact() <= ub holds in floats
+    shape, r, pts, lam, y, rng = case
+    for margin in (_ambient_margin(shape, r), _intrinsic_margin(shape, r, rng)):
+        try:
+            ub, exact = margin(pts, lam, y)
+        except MedialAxisProximity:
+            continue
+        assert exact() <= ub

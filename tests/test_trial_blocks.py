@@ -47,6 +47,29 @@ def test_simplex_suite_rows_are_pinned():
     assert digest.hexdigest() == "c05e2252893c858f231bacdfb698e4f5fb8524a259dcf94f7146b60376e19156"
 
 
+def test_lazy_margins_run_few_kernels_and_change_no_row(monkeypatch):
+    # the CechSimplex cells of acceptance criterion 4 at 500 trials; the
+    # digest was taken before the margins turned lazy, when every trial ran
+    # its exact kernel
+    calls = dict.fromkeys(("min_enclosing_ball", "intrinsic_cover"), 0)
+    for name in calls:
+        def spy(*args, real=getattr(retraction, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(retraction, name, spy)
+    digest = hashlib.sha256()
+    for shape, r in ((Circle(1.0), 0.9), (Ellipse(2.0, 1.0), 0.45), (Sphere(3, 1.0), 0.9),
+                     (Torus(3.0, 1.0), 0.9)):
+        for strict in (False, True):
+            for suite, kernel in (("CechSimplexAmbient", "min_enclosing_ball"),
+                                  ("CechSimplexIntrinsic", "intrinsic_cover")):
+                before = calls[kernel]
+                rep = SUITES[suite].run(shape, r, 5, 500, 12, strict)
+                assert calls[kernel] - before < rep.trials / 2
+                digest.update(",".join(rep.csv_fields().values()).encode() + b"\n")
+    assert digest.hexdigest() == "9c9e7d5cc6f97379c57503f6a8542d6ebcb260f0e9750c860916e18968ae0e68"
+
+
 @pytest.mark.parametrize("size", (1, 3))
 def test_block_size_and_pass_cap_change_no_row(monkeypatch, size):
     # each trial keeps its own stream and draws, whatever block it runs in
