@@ -7,14 +7,14 @@ Two families of scale-parameter complexes over a finite point set:
   centered anywhere in ambient space (ambient flavor) or restricted to a
   reference shape (intrinsic flavor, decided over a finite witness set).
 
-Each predicate takes a Simplex or a (k, n) float array of distinct rows and
-decides by exact bounds on its measured quantity first (pairwise distances,
-or one witness's cover), running the exact kernel (threshold_compare on the
-diameter, the smallest enclosing ball, the candidate-center cover) only when
-the bounds straddle the threshold. It answers definitively only outside a
-relative EPS_GEO band around its threshold and raises AmbiguousPredicate
-inside the band; a value exactly at the threshold answers by strictness.
-is_simplex dispatches on the flavor.
+Each flavor decides by one quantity of the support against one threshold
+(membership_quantity): the diameter against the scale, or the smallest
+enclosing ball radius or the least on-shape cover against scale/2. decide
+answers definitively only outside a relative EPS_GEO band around the
+threshold, raises AmbiguousPredicate inside it and answers a value exactly
+at the threshold by strictness. The predicates take a Simplex or a (k, n)
+float array of distinct rows; the ambient one first tries the exact bounds
+of bound_verdicts, which answer as decide does. is_simplex picks by flavor.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity, SizeLimit
-from .euclid import (as_point, as_points, band, coincident_pair, max_row_norm, norm,
-                     threshold_compare)
+from .euclid import (as_point, as_points, band, coincident_pair, diameter, max_row_norm, norm,
+                     square_distances, threshold_compare)
 from .shapes import project
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
@@ -149,94 +149,85 @@ def min_enclosing_ball(points: Sequence) -> MinBallResult:
     return MinBallResult(tuple(map(float, center)), radius)
 
 
-def _ball_radius_bound(pts: np.ndarray) -> float:
-    """Upper bound on min_enclosing_ball(pts).radius, the radius itself for one
-    or two rows: the lesser of the largest distances from the centroid and
-    from _welzl's center for a diametral pair in either order (the farther),
-    which is not below the rounded radius where the ball lies on that pair."""
-    if pts.shape[0] < 3:  # min_enclosing_ball's closed form
-        return norm(pts[0] - 0.5 * (pts[0] + pts[-1]))
-    i, j = divmod(int(_square_distances(pts).argmax()), pts.shape[0])
-    # _ball_from_support's centers: pts[i] + step, and pts[j] - step exactly
-    V = pts[[j]] - pts[i]
-    step = (0.5 * np.einsum("ij,ij->i", V, V) / (V @ V.T)[0, 0]) @ V
-    pair = max(max_row_norm(pts - (pts[i] + step)), max_row_norm(pts - (pts[j] - step)))
-    return min(max_row_norm(pts - pts.sum(axis=0) / pts.shape[0]), pair)
-
-
 def _check_ball_dim(pts: np.ndarray) -> np.ndarray:
     if pts.shape[1] > _MAX_BALL_DIM:
         raise SizeLimit(f"min_enclosing_ball supports dimension <= {_MAX_BALL_DIM}")
     return pts
 
 
-def _vertices(s) -> np.ndarray:
-    """Vertex rows of a Simplex, or a validated (k, n) array of points."""
+def _vertices(s, spec: ComplexSpec, flavor: str) -> np.ndarray:
+    """Vertex rows of a Simplex, or a validated (k, n) array of points, for
+    the predicate of `flavor`, which must be the flavor of `spec`."""
+    if spec.flavor != flavor:
+        raise InvalidInput(f"the {flavor} predicate needs flavor {flavor!r}, got {spec.flavor!r}")
     return s.array() if isinstance(s, Simplex) else as_points(s)
-
-
-def _square_distances(pts: np.ndarray) -> np.ndarray:
-    """Square distances between the rows of a (k, n) array, or within each
-    stack of a (g, k, n) array."""
-    diff = pts[..., :, None, :] - pts[..., None, :, :]
-    return (diff * diff).sum(axis=-1)
 
 
 def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
     """Least over the rows of `centers` of the largest distance to a row of
     `pts`; inf when there are no centers."""
-    diff = centers[:, None, :] - pts[None, :, :]
-    return math.sqrt((diff * diff).sum(axis=2).max(axis=1).min(initial=math.inf))
+    return math.sqrt(square_distances(centers, pts).max(axis=1).min(initial=math.inf))
 
 
 def _radius_bounds(stacks: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Upper bounds on the smallest enclosing ball radius of each support of
-    a (g, k, n) array, d2 their square distances: the lesser of the largest
-    distances from the centroid and from the midpoint of a diametral pair."""
+    """Upper bounds on min_enclosing_ball(pts).radius for each support pts of
+    a (g, k, n) array, d2 their square distances: below three rows the radius
+    itself; else the lesser of the largest distances from the centroid and
+    from _welzl's center for a diametral pair in either order (the farther).
+    A support's bound has the same bits alone as in a stack."""
     g, k, _ = stacks.shape
-    i, j = np.divmod(d2.reshape(g, -1).argmax(axis=1), k)
+    if k < 3:  # min_enclosing_ball's closed form, its dot product as a stacked @
+        d = stacks[:, 0] - 0.5 * (stacks[:, 0] + stacks[:, -1])
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     rows = np.arange(g)
-    centers = (stacks.sum(axis=1) / k, (stacks[rows, i] + stacks[rows, j]) / 2)
-    far = [np.sqrt(((stacks - c[:, None, :]) ** 2).sum(axis=2).max(axis=1)) for c in centers]
-    return np.minimum(*far)
+    i, j = np.divmod(d2.reshape(g, -1).argmax(axis=1), k)
+    # _ball_from_support's centers, pts[i] + step and pts[j] - step exactly:
+    # not below the rounded radius where _welzl ends on that pair
+    pi, pj = stacks[rows, i], stacks[rows, j]
+    V = pj - pi
+    step = (0.5 * np.einsum("ij,ij->i", V, V) / (V[:, None, :] @ V[:, :, None])[:, 0, 0])[:, None] * V
+
+    def far(centers):
+        return np.sqrt(((stacks - centers[:, None, :]) ** 2).sum(axis=2).max(axis=1))
+
+    pair = np.maximum(far(pi + step), far(pj - step))
+    return np.minimum(far(stacks.sum(axis=1) / k), pair)
+
+
+def membership_quantity(pts: np.ndarray, spec: ComplexSpec, witnesses: Sequence = ()) -> tuple:
+    """The quantity that decides whether the (k, n) array pts of distinct
+    rows is a simplex of `spec`, and the threshold it must stay within: the
+    diameter and the scale, the smallest enclosing ball radius and scale/2,
+    or intrinsic_cover over the witnesses (inf when there is no on-shape
+    center) and scale/2."""
+    if spec.flavor == "vr":
+        return diameter(pts), spec.scale
+    half = spec.scale / 2.0
+    if spec.flavor == "cech-ambient":
+        return min_enclosing_ball(pts).radius, half
+    n = _check_ball_dim(pts).shape[1]
+    centers = as_points(witnesses, dim=n) if len(witnesses) > 0 else np.empty((0, n))
+    return intrinsic_cover(pts, centers, spec.shape, half), half
+
+
+def decide(pts: np.ndarray, spec: ComplexSpec, witnesses: Sequence = ()) -> bool:
+    """threshold_compare on membership_quantity, strictness-aware; no
+    on-shape center means no simplex."""
+    value, threshold = membership_quantity(pts, spec, witnesses)
+    return value != math.inf and threshold_compare(value, threshold, spec.strict)
 
 
 def is_vr_simplex(s, spec: ComplexSpec) -> bool:
     """Diameter within scale, strictness-aware."""
-    if spec.flavor != "vr":
-        raise InvalidInput(f"is_vr_simplex needs flavor 'vr', got {spec.flavor!r}")
-    pts = _vertices(s)
-    diam = math.sqrt(_square_distances(pts).max()) if pts.shape[0] > 1 else 0.0
-    band2 = 2.0 * band(spec.scale)
-    if diam <= spec.scale - band2:
-        return True
-    if diam >= spec.scale + band2:
-        return False
-    return threshold_compare(diam, spec.scale, spec.strict)
+    return decide(_vertices(s, spec, "vr"), spec)
 
 
 def is_cech_simplex_ambient(s, spec: ComplexSpec) -> bool:
-    """Smallest enclosing ball radius within scale/2, strictness-aware.
-
-    Rigorous radius bounds come first, in this order: the largest distance
-    from the best vertex (above), half the diameter (below), _radius_bounds
-    (above), which finds the ball on short arcs and small patches: there it
-    lies on a diametral pair. The ball itself is computed only when they
-    straddle the threshold, and bound_verdicts computes the same bounds."""
-    if spec.flavor != "cech-ambient":
-        raise InvalidInput(f"is_cech_simplex_ambient needs flavor 'cech-ambient', got {spec.flavor!r}")
-    pts = _check_ball_dim(_vertices(s))
-    half = spec.scale / 2.0
-    band2 = 2.0 * band(half)
-    d2 = _square_distances(pts)
-    if math.sqrt(d2.max(axis=1).min()) <= half - band2:
-        return True
-    if 0.5 * math.sqrt(d2.max()) >= half + band2:
-        return False
-    if _radius_bounds(pts[None], d2[None])[0] <= half - band2:
-        return True
-    ball = min_enclosing_ball(pts)
-    return threshold_compare(ball.radius, half, spec.strict)
+    """Smallest enclosing ball radius within scale/2, strictness-aware. The
+    ball itself is computed only where bound_verdicts leaves the support open."""
+    pts = _vertices(s, spec, "cech-ambient")
+    bound = int(bound_verdicts(pts[None], spec, None)[0])
+    return bound == 1 if bound >= 0 else decide(pts, spec)
 
 
 def intrinsic_cover(verts: np.ndarray, centers: np.ndarray, shape, half: float) -> float:
@@ -264,46 +255,38 @@ def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence) -> bool
     under-approximation of the existential over the whole shape; use dense
     witness sets for tight answers.
     """
-    if spec.flavor != "cech-intrinsic":
-        raise InvalidInput(f"is_cech_simplex_intrinsic needs flavor 'cech-intrinsic', got {spec.flavor!r}")
-    verts = _check_ball_dim(_vertices(s))
-    n, half = verts.shape[1], spec.scale / 2.0
-    centers = as_points(witnesses, dim=n) if len(witnesses) > 0 else np.empty((0, n))
-    cover = intrinsic_cover(verts, centers, spec.shape, half)
-    return cover != math.inf and threshold_compare(cover, half, spec.strict)
+    return decide(_vertices(s, spec, "cech-intrinsic"), spec, witnesses)
 
 
 def bound_verdicts(stacks: np.ndarray, spec: ComplexSpec, witnesses: np.ndarray) -> np.ndarray:
-    """The bound shortcuts of is_simplex on every support of a (g, k, n)
-    array of g supports at once, support i witnessed by witnesses[i] (read
-    by the intrinsic flavor only): 1 where the bounds prove membership, 0
-    where they disprove it, -1 where is_simplex must decide. Each bound is
-    computed with the scalar predicate's operations, so a decided support
-    gets the answer is_simplex gives; a dimension past the min-ball limit
-    decides nothing, so that is_simplex raises."""
+    """Exact bounds on membership_quantity for every support of a (g, k, n)
+    array at once, support i witnessed by witnesses[i]: 1 where an upper
+    bound proves membership, 0 where a lower bound disproves it, -1 where
+    decide must run. A deciding bound lies beyond twice the band, so decide
+    answers the same. The bounds: the diameter itself (vr); half of it, and
+    the best vertex's and _radius_bounds (cech-ambient); one witness's cover
+    (cech-intrinsic). A dimension past the min-ball limit decides nothing,
+    so that decide raises."""
     g, k, n = stacks.shape
     out = np.full(g, -1, dtype=np.int8)
     if spec.flavor != "vr" and n > _MAX_BALL_DIM:
         return out
+    threshold = spec.scale if spec.flavor == "vr" else spec.scale / 2.0
+    band2 = 2.0 * band(threshold)
     if spec.flavor == "cech-intrinsic":
-        half = spec.scale / 2.0
-        diff = witnesses[:, None, :] - stacks
-        cover = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
-        out[cover <= half - 2.0 * band(half)] = 1
-        return out
-    d2 = _square_distances(stacks)
-    if spec.flavor == "vr":
-        diam = np.sqrt(d2.max(axis=(1, 2)))
-        band2 = 2.0 * band(spec.scale)
-        out[diam >= spec.scale + band2] = 0
-        out[diam <= spec.scale - band2] = 1
-        return out
-    half = spec.scale / 2.0
-    band2 = 2.0 * band(half)
-    # in is_cech_simplex_ambient's order: best vertex, half diameter, _radius_bounds
-    out[_radius_bounds(stacks, d2) <= half - band2] = 1
-    out[0.5 * np.sqrt(d2.max(axis=(1, 2))) >= half + band2] = 0
-    out[np.sqrt(d2.max(axis=2).min(axis=1)) <= half - band2] = 1
+        lower = np.zeros(g)
+        upper = np.sqrt(square_distances(witnesses[:, None, :], stacks).max(axis=(1, 2)))
+    else:
+        d2 = square_distances(stacks)
+        lower = upper = np.sqrt(d2.max(axis=(1, 2)))
+        if spec.flavor == "cech-ambient":
+            lower, upper = 0.5 * lower, np.sqrt(d2.max(axis=2).min(axis=1))
+            # _radius_bounds only where half the diameter and the best vertex leave it open
+            rest = (lower < threshold + band2) & (upper > threshold - band2)
+            if rest.any():
+                upper[rest] = np.minimum(upper[rest], _radius_bounds(stacks[rest], d2[rest]))
+    out[lower >= threshold + band2] = 0
+    out[upper <= threshold - band2] = 1
     return out
 
 
@@ -361,7 +344,7 @@ def _skeleton_indices(points: Sequence, spec: ComplexSpec, max_dim: int,
     pair = coincident_pair(pts)
     if pair is not None:
         raise InvalidInput("points %d and %d coincide" % pair)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dist = np.sqrt(square_distances(pts))
     half_width = band(spec.scale)
 
     if spec.flavor == "vr":

@@ -128,13 +128,17 @@ def nearest_distance_query(points):
     return query
 
 
+def square_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Square distances between the rows of a and those of b (of a itself
+    when b is None): (..., k, m) for (..., k, n) and (..., m, n) arrays. The
+    one pairwise kernel: every pairwise distance is its root."""
+    d = a[..., :, None, :] - (a if b is None else b)[..., None, :, :]
+    return (d * d).sum(axis=-1)
+
+
 def diameter(points) -> float:
     """Max pairwise distance of a point set; 0.0 for a singleton."""
-    pts = as_points(points)
-    if pts.shape[0] == 1:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+    return math.sqrt(square_distances(as_points(points)).max())
 
 
 # per-coordinate distance below which two points count as one
@@ -177,7 +181,7 @@ def threshold_compare(value: float, threshold: float, strict: bool) -> bool:
     value within band(threshold) of the threshold raises
     AmbiguousPredicate: the arithmetic cannot be trusted to pick a side.
     """
-    if not np.isfinite(value) or not np.isfinite(threshold):
+    if not (math.isfinite(value) and math.isfinite(threshold)):
         raise InvalidInput("threshold comparison on non-finite values")
     if value == threshold:
         return not strict

@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .complexes import (ComplexSpec, _ball_radius_bound, bound_verdicts, cover_radius,
+from .complexes import (ComplexSpec, _radius_bounds, bound_verdicts, cover_radius, decide,
                         intrinsic_cover, is_simplex, min_enclosing_ball)
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
 from .euclid import (apart_by_first_coordinate, band, coincident_pair, coincident_rows,
-                     max_row_norm, nearest_distance_query, norm, row_norms)
+                     max_row_norm, nearest_distance_query, norm, row_norms, square_distances)
 from .shapes import (
     _check_seed,
     ambient_dim,
@@ -206,9 +206,9 @@ def _simplex_verdicts(supports, spec: ComplexSpec, ys):
     """For each candidate support (None where there is none), drawn around
     the row of ys: True if its rows are distinct and it is a simplex of
     `spec` witnessed by that row, False if not, or the AmbiguousPredicate
-    that is_simplex raised. The coincidence test and the predicate's bounds
-    run stacked over the supports of each size; only the supports they
-    leave open go to coincident_pair and is_simplex one by one."""
+    that decide raised. The coincidence test and bound_verdicts run stacked
+    over the supports of each size; only the supports they leave open go to
+    coincident_pair and decide one by one."""
     verdicts = [False] * len(supports)
     by_size = {}
     for j, pts in enumerate(supports):
@@ -226,7 +226,7 @@ def _simplex_verdicts(supports, spec: ComplexSpec, ys):
                 verdicts[j] = bound == 1
                 continue
             try:
-                verdicts[j] = bool(is_simplex(pts, spec, ys[j:j + 1]))
+                verdicts[j] = bool(decide(pts, spec, ys[j:j + 1]))
             except AmbiguousPredicate as exc:
                 verdicts[j] = exc
     return verdicts
@@ -488,7 +488,7 @@ def _ambient_margin(shape, r):
     min-ball radius less r; the min keeps exact() <= ub in floats."""
     def margin(pts, lam, y):
         aug = _augment(pts, project(shape, lam @ pts))
-        ub = _ball_radius_bound(aug)
+        ub = float(_radius_bounds(aug[None], square_distances(aug[None]))[0])
         return ub - r, lambda: min(min_enclosing_ball(aug).radius, ub) - r
     return margin
 
@@ -505,8 +505,7 @@ def _intrinsic_margin(shape, r, rng):
 
         def exact():
             # a pool point farther from aug[0] than the cover of y or p cannot win
-            d = pool - aug[0]
-            near = pool[(d * d).sum(axis=1) <= ub * ub * (1.0 + 1e-9)]
+            near = pool[square_distances(pool, aug[:1])[:, 0] <= ub * ub * (1.0 + 1e-9)]
             return min(intrinsic_cover(aug, np.concatenate(((y, p), near)), shape, r), ub) - r
         return ub - r, exact
     return margin

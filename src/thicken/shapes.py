@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidInput, MedialAxisProximity, SizeLimit,
                      UnsupportedShape)
-from .euclid import EPS_MED, as_point, as_points, coincident_pair, row_norms
+from .euclid import EPS_MED, as_point, as_points, coincident_pair, row_norms, square_distances
 
 __all__ = [
     "Shape",
@@ -512,11 +512,8 @@ class FinitePointSet(Shape):
 
     @property
     def reach(self) -> float:
-        pts = self.array()
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        iu = np.triu_indices(pts.shape[0], k=1)
-        return 0.5 * float(np.sqrt(d2[iu].min()))
+        d2 = square_distances(self.array())
+        return 0.5 * float(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)].min()))
 
     @property
     def label(self) -> str:

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ComplexSpec, is_simplex, min_enclosing_ball
+from .complexes import ComplexSpec, is_simplex, membership_quantity
 from .errors import InvalidInput, SimplexViolation, SpecMismatch
-from .euclid import as_point, band, diameter
+from .euclid import as_point, band
 from .shapes import distance_to_shape
 from .transport import Measure, wasserstein1
 
@@ -31,16 +31,17 @@ class ThickeningPoint:
             raise TypeError("spec must be a ComplexSpec")
 
 
+_QUANTITY_NAMES = {"vr": "diameter", "cech-ambient": "min-ball radius",
+                   "cech-intrinsic": "least cover by an on-shape witness"}
+
+
 def _failure_report(pts: np.ndarray, spec: ComplexSpec, witnesses) -> str:
-    if spec.flavor == "vr":
-        return (f"support diameter {diameter(pts):.12g} exceeds scale {spec.scale:.12g} "
-                f"(flavor vr, strict={spec.strict})")
-    if spec.flavor == "cech-ambient":
-        return (f"support min-ball radius {min_enclosing_ball(pts).radius:.12g} exceeds "
-                f"{spec.scale / 2:.12g} (flavor cech-ambient, strict={spec.strict})")
-    return (f"no on-shape witness covers the support within {spec.scale / 2:.12g} "
-            f"(flavor cech-intrinsic, strict={spec.strict}, "
-            f"{len(tuple(witnesses))} candidate witnesses)")
+    """The quantity and the threshold that the predicate compared."""
+    value, threshold = membership_quantity(pts, spec, witnesses)
+    count = f", {len(witnesses)} candidate witnesses" if spec.flavor == "cech-intrinsic" else ""
+    return (f"support {_QUANTITY_NAMES[spec.flavor]} {value:.12g} is not "
+            f"{'<' if spec.strict else '<='} {threshold:.12g} "
+            f"(flavor {spec.flavor}, scale {spec.scale:.12g}{count})")
 
 
 def make_thickening_point(measure: Measure, spec: ComplexSpec, witnesses=()) -> ThickeningPoint:

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, SizeLimit
-from .euclid import as_floats, as_point, as_points, coincident_pair
+from .euclid import as_floats, as_point, as_points, coincident_pair, square_distances
 
 _MAX_ATOMS = 64
 _ZERO_WEIGHT = 1e-14
@@ -103,8 +103,7 @@ class TransportPlan:
 def _cost_matrix(mu: Measure, nu: Measure) -> np.ndarray:
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"measure dimensions differ: {mu.dim} vs {nu.dim}")
-    d = mu.array()[:, None, :] - nu.array()[None, :, :]
-    return np.sqrt((d * d).sum(axis=2))  # np.linalg.norm(d, axis=2) without its dispatch
+    return np.sqrt(square_distances(mu.array(), nu.array()))
 
 
 def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:

@@ -200,3 +200,71 @@ def test_diametral_midpoint_decides_short_arcs_and_small_caps(monkeypatch, pts):
     monkeypatch.setattr(complexes, "min_enclosing_ball", no_ball)
     assert is_cech_simplex_ambient(pts, spec) is True
     assert bound_verdicts(pts[None], spec, pts[:1])[0] == 1
+
+
+@st.composite
+def collinear_sets(draw):
+    k = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    base = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    direction = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    ts = np.array(draw(st.lists(coord, min_size=k, max_size=k, unique=True)))
+    pts = base + ts[:, None] * direction
+    assume(coincident_pair(pts) is None)
+    return pts
+
+
+ARCS_AND_CAPS = [f(n) for f in (_arc, _cap) for n in range(1, 7)] + [_arc(7)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(point_sets(), collinear_sets(), st.sampled_from(ARCS_AND_CAPS)),
+       st.integers(1, 4), st.integers(0, 2**16))
+# collinear, where _welzl ends on three support points: its least-squares
+# center is off the pair's, and its radius exceeds the bound by an ulp
+@example(np.array([[-4.841983812080069, -2.119102087769799, -1.1556881532824894],
+                   [-6.872990260754514, -1.9846949536387448, -1.6220312663579304],
+                   [-2.8109773634056245, -2.2535092219008526, -0.6893450402070487]]), 1, 0)
+# _welzl takes (1e-6, 0) as enclosed by the ball on the pair (0, -2), (0, 0)
+# and its sharpened radius is 5e-13 above 1, the centroid's distance 1.25e-13
+@example(np.array([[0.0, -1.0], [0.0, -2.0], [0.0, 0.0], [1e-6, 0.0]]), 1, 0)
+def test_radius_bounds_cover_the_ball_and_ignore_the_stack(pts, g, seed):
+    # _radius_bounds is one bound for the ambient predicate, bound_verdicts
+    # and the CechSimplexAmbient lazy margin. It bounds the least radius, and
+    # the kernel's radius can exceed that by its acceptance tolerance
+    # (_welzl encloses a point within radius * (1 + 1e-12) + 1e-14): far
+    # less than the two bands the predicates keep, and the lazy margin takes
+    # min(kernel, ub). A support's bound must not depend on the other
+    # supports stacked with it (shifted, scaled copies of this one here).
+    rng = np.random.default_rng(seed)
+    stacks = np.concatenate((pts[None], pts * rng.uniform(0.5, 2.0, (g - 1, 1, 1))
+                             + rng.normal(size=(g - 1, 1, pts.shape[1]))))
+    bounds = complexes._radius_bounds(stacks, euclid.square_distances(stacks))
+    for support, bound in zip(stacks, bounds):
+        alone = complexes._radius_bounds(support[None], euclid.square_distances(support[None]))
+        assert alone[0].tobytes() == bound.tobytes()
+        assert min_enclosing_ball(support).radius <= bound * (1.0 + 1e-12) + 1e-14
+    if pts.shape[0] < 3:  # the closed form is the radius itself
+        assert bounds[0] == min_enclosing_ball(pts).radius
+
+
+def test_host_arithmetic_that_radius_bounds_relies_on():
+    # A stacked @ of (1, n) by (n, 1) rows gives ndarray.dot's bits, and
+    # with einsum's row sums it reproduces _ball_from_support's pair center
+    # exactly; this is why _radius_bounds keeps the kernel's operations.
+    # Neither einsum nor the plain sum of squares gives dot's bits on every
+    # vector, so neither could stand in for the other.
+    rng = np.random.default_rng(19)
+    differs = 0
+    for d in range(1, 11):
+        a, b = rng.normal(size=(2, 2000, d)) * 10.0 ** rng.integers(-3, 3, size=(2, 2000, 1))
+        V = b - a
+        stacked = (V[:, None, :] @ V[:, :, None])[:, 0, 0]
+        assert all(s == v.dot(v) for s, v in zip(stacked.tolist(), V))
+        einsum = np.einsum("ij,ij->i", V, V)
+        centers = a + (0.5 * einsum / stacked)[:, None] * V
+        for p, q, c in zip(a[:200], b[:200], centers):
+            assert complexes._ball_from_support(np.stack((p, q)), (0, 1))[0].tobytes() == c.tobytes()
+        differs += int((einsum != stacked).any() and ((V * V).sum(axis=1) != stacked).any())
+    assert differs > 0

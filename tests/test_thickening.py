@@ -68,14 +68,26 @@ def m_simplex(m: Measure):
 
 
 def test_violation_report_is_diagnostic():
+    # each report names the flavor's quantity and prints it with the
+    # threshold the predicate compared it against, strictness as < or <=
     m = Measure(((0.0, 0.0), (2.0, 0.0)), (0.5, 0.5))
-    with pytest.raises(SimplexViolation, match="diameter"):
+    with pytest.raises(SimplexViolation, match=r"diameter 2 is not <= 1 \(flavor vr"):
         make_thickening_point(m, ComplexSpec("vr", 1.0))
-    with pytest.raises(SimplexViolation, match="min-ball"):
+    with pytest.raises(SimplexViolation, match=r"diameter 2 is not < 1.5 \(flavor vr"):
+        make_thickening_point(m, ComplexSpec("vr", 1.5, strict=True))
+    with pytest.raises(SimplexViolation, match=r"min-ball radius 1 is not <= 0.5 \("):
         make_thickening_point(m, ComplexSpec("cech-ambient", 1.0))
+    with pytest.raises(SimplexViolation, match=r"min-ball radius 1 is not < 0.9 \("):
+        make_thickening_point(m, ComplexSpec("cech-ambient", 1.8, strict=True))
     shape = Circle(1.0)
     m2 = Measure(((1.0, 0.0), (-1.0, 0.0)), (0.5, 0.5))
-    with pytest.raises(SimplexViolation, match="witness"):
+    # the witness (0, 1) covers both atoms within sqrt(2); the projected
+    # ball center, the origin, is on the medial axis and adds no candidate
+    with pytest.raises(SimplexViolation,
+                       match=r"witness 1.41421356237 is not <= 0.5 .*1 candidate witnesses"):
+        make_thickening_point(m2, ComplexSpec("cech-intrinsic", 1.0, shape=shape),
+                              witnesses=((0.0, 1.0),))
+    with pytest.raises(SimplexViolation, match=r"witness inf is not <= 0.5 .*0 candidate"):
         make_thickening_point(m2, ComplexSpec("cech-intrinsic", 1.0, shape=shape))
 
 
