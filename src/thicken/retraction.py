@@ -137,9 +137,6 @@ def _finite_patch(fin, center, radius, count, rng, exclude_center):
     sel = fin[keep]
     if sel.shape[0] < count:
         return None
-    if count == 1:  # rng.integers draws what a one-point rng.choice draws
-        i = rng.integers(0, sel.shape[0])
-        return sel[i:i + 1]
     return sel[rng.choice(sel.shape[0], size=count, replace=False)]
 
 
@@ -156,6 +153,27 @@ def _draw_patches(shape, rngs, centers, radius, needs, exclude_center=False):
             for n, need, end in zip(got.tolist(), needs, np.cumsum(got).tolist())]
 
 
+def _retry(n, attempt):
+    """For each of n trials, the first outcome of `attempt` other than False,
+    or None when all _MAX_ATTEMPTS attempts give False. attempt(a, todo) runs
+    attempt a of the trials still open, the indices todo, and gives their
+    outcomes in that order. The trials advance in lockstep; each makes its
+    own draws in its own order, so its outcome is the one it has run alone."""
+    out = [None] * n
+    todo = list(range(n))
+    for a in range(_MAX_ATTEMPTS):
+        if not todo:
+            break
+        still = []
+        for i, outcome in zip(todo, attempt(a, todo)):
+            if outcome is False:
+                still.append(i)
+            else:
+                out[i] = outcome
+        todo = still
+    return out
+
+
 def _sample_simplices(shape, natoms, spec: ComplexSpec, rngs):
     """For each trial i, a support of natoms[i] distinct on-shape points
     that is a simplex of `spec`, drawn on rngs[i] around a fresh on-shape
@@ -166,25 +184,19 @@ def _sample_simplices(shape, natoms, spec: ComplexSpec, rngs):
     y witnesses it by construction. Other flavors: y is the first vertex;
     odd attempts draw companions from the tight patch (radius scale/2, valid
     by the triangle inequality), even attempts from the full patch (radius
-    scale) so every valid simplex containing y stays reachable.
-
-    The trials advance in lockstep: an attempt draws the y of every trial
-    still open, then their companions, in stacked draws. Each trial makes
-    its own draws in its own order, so its outcome is the one it has run
-    alone."""
+    scale) so every valid simplex containing y stays reachable. An attempt
+    draws the y of every trial still open, then their companions, in
+    stacked draws."""
     intrinsic = spec.flavor == "cech-intrinsic"
-    out = [None] * len(rngs)
-    todo = list(range(len(rngs)))
-    for attempt in range(_MAX_ATTEMPTS):
-        if not todo:
-            break
+
+    def attempt(a, todo):
         sub = [rngs[i] for i in todo]
         ys = sample_stacked(shape, sub, 1)[0]
         sizes = [natoms[i] for i in todo]
         if intrinsic:
             supports = _draw_patches(shape, sub, ys, spec.scale / 2, sizes)
         else:
-            radius = spec.scale if attempt % 2 == 0 else spec.scale / 2
+            radius = spec.scale if a % 2 == 0 else spec.scale / 2
             supports = [ys[j:j + 1] for j in range(len(todo))]
             multi = [j for j, n in enumerate(sizes) if n > 1]
             if multi:
@@ -192,14 +204,10 @@ def _sample_simplices(shape, natoms, spec: ComplexSpec, rngs):
                                       [sizes[j] - 1 for j in multi], exclude_center=True)
                 for j, rest in zip(multi, rests):
                     supports[j] = None if rest is None else np.concatenate((supports[j], rest))
-        still = []
-        for i, y, pts, verdict in zip(todo, ys, supports, _simplex_verdicts(supports, spec, ys)):
-            if verdict is False:
-                still.append(i)
-            else:
-                out[i] = (pts, y) if verdict is True else verdict
-        todo = still
-    return out
+        return [(pts, y) if verdict is True else verdict
+                for y, pts, verdict in zip(ys, supports, _simplex_verdicts(supports, spec, ys))]
+
+    return _retry(len(rngs), attempt)
 
 
 def _simplex_verdicts(supports, spec: ComplexSpec, ys):
@@ -230,6 +238,20 @@ def _simplex_verdicts(supports, spec: ComplexSpec, ys):
             except AmbiguousPredicate as exc:
                 verdicts[j] = exc
     return verdicts
+
+
+def _redraws(shape, count, shot):
+    """run_block (see _run_cell) for trials that redraw until a shot lands:
+    each attempt draws `count` on-shape points for every open trial in one
+    stacked draw, and shot(rng, points) gives the trial's outcome, or False
+    to draw again; a trial whose attempts run out is starved."""
+    def run_block(rngs):
+        def attempt(a, todo):
+            sub = [rngs[i] for i in todo]
+            rows = sample_stacked(shape, sub, count)[0]
+            return map(shot, sub, rows.reshape(len(sub), count, -1))
+        return _retry(len(rngs), attempt)
+    return run_block
 
 
 def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int) -> int:
@@ -306,17 +328,6 @@ def _check_cell_args(r, k, trials, seed) -> None:
     _check_seed(seed)
 
 
-def _one_by_one(trial_fn):
-    """run_block for trials that run alone: trial_fn(rng) on each generator."""
-    def run_block(rngs):
-        for rng in rngs:
-            try:
-                yield trial_fn(rng)
-            except AmbiguousPredicate as exc:
-                yield exc
-    return run_block
-
-
 def _run_cell(lemma_id, shape, r, k, trials, seed, run_block) -> LemmaReport:
     """Check the arguments, run the trials in blocks of _BLOCK and aggregate
     their outcomes. run_block(rngs) gives the outcomes of one block's
@@ -375,10 +386,8 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
     on-shape generators, a random hull point y, and a random convex set
     (half-space or ball) excluding y, some generator lies outside the set."""
 
-    def trial(rng):
-        natoms = 1 + int(rng.integers(0, k + 1))
-        pts = sample_rng(shape, natoms, rng)
-        lam = _dirichlet_weights(natoms, rng)
+    def score(rng, pts):
+        lam = _dirichlet_weights(pts.shape[0], rng)
         y = lam @ pts
         gap = (0.01 + 0.99 * rng.random()) * (1.0 + norm(y))
         normal = rng.normal(size=pts.shape[1])
@@ -396,7 +405,12 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
             bound = rho
         return margin, band(bound)
 
-    return _run_cell("Convex", shape, r, k, trials, seed, _one_by_one(trial))
+    def run_block(rngs):
+        natoms = [1 + int(rng.integers(0, k + 1)) for rng in rngs]
+        rows = sample_stacked(shape, rngs, natoms)[0]
+        return map(score, rngs, np.split(rows, np.cumsum(natoms)[:-1]))
+
+    return _run_cell("Convex", shape, r, k, trials, seed, run_block)
 
 
 def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin) -> LemmaReport:
@@ -532,25 +546,22 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
     nearest = nearest_distance_query(dense)
     dim = ambient_dim(shape)
 
-    def trial(rng):
-        for _ in range(_MAX_ATTEMPTS):
-            s = sample_rng(shape, 1, rng)[0]
-            u = rng.normal(size=dim)
-            u /= norm(u)
-            mag = tau * (1e-3 + 0.996 * rng.random())
-            x = s + mag * u
-            d = distance_to_shape(shape, x)
-            if d <= 1e-12 * (1.0 + norm(x)):
-                continue
-            try:
-                p = project(shape, x)
-            except MedialAxisProximity:
-                continue
-            c = p + tau * (x - p) / norm(x - p)
-            return tau - nearest(c), 1e-6
-        return None
+    def shot(rng, base):
+        u = rng.normal(size=dim)
+        u /= norm(u)
+        mag = tau * (1e-3 + 0.996 * rng.random())
+        x = base[0] + mag * u
+        d = distance_to_shape(shape, x)
+        if d <= 1e-12 * (1.0 + norm(x)):
+            return False
+        try:
+            p = project(shape, x)
+        except MedialAxisProximity:
+            return False
+        c = p + tau * (x - p) / norm(x - p)
+        return tau - nearest(c), 1e-6
 
-    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, _one_by_one(trial))
+    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, _redraws(shape, 1, shot))
 
 
 def check_federer(shape, r, trials, seed) -> LemmaReport:
@@ -561,24 +572,21 @@ def check_federer(shape, r, trials, seed) -> LemmaReport:
     factor = tau / (tau - r)
     dim = ambient_dim(shape)
 
-    def trial(rng):
-        for _ in range(_MAX_ATTEMPTS):
-            base = sample_rng(shape, 2, rng)
-            us = rng.normal(size=(2, dim))
-            us /= row_norms(us)[:, None]
-            mags = r * 0.999 * rng.random(size=2)
-            x = base[0] + mags[0] * us[0]
-            y = base[1] + mags[1] * us[1]
-            try:
-                px = project(shape, x)
-                py = project(shape, y)
-            except MedialAxisProximity:
-                continue
-            bound = factor * norm(x - y)
-            return norm(px - py) - bound, band(bound)
-        return None
+    def shot(rng, base):
+        us = rng.normal(size=(2, dim))
+        us /= row_norms(us)[:, None]
+        mags = r * 0.999 * rng.random(size=2)
+        x = base[0] + mags[0] * us[0]
+        y = base[1] + mags[1] * us[1]
+        try:
+            px = project(shape, x)
+            py = project(shape, y)
+        except MedialAxisProximity:
+            return False
+        bound = factor * norm(x - y)
+        return norm(px - py) - bound, band(bound)
 
-    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _one_by_one(trial))
+    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _redraws(shape, 2, shot))
 
 
 # ---------------------------------------------------------------------------

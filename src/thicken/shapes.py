@@ -65,12 +65,12 @@ class Shape:
     each, and ``_propose`` thins them to the area element. Each
     round, every generator still short of its count by `need` draws 2 need
     + 4 candidates and keeps the first `need` that pass the thinning and the
-    exact distance test. A generator still short after _ROUNDS rounds gives
-    fewer rows, which the counts show. ``sample(count, rng)`` is the plain
-    loop for one generator without centers, with the same rows. Each
-    generator makes its own draws in its own order whatever else is stacked
-    with it; only the elementwise work between draws is stacked. A finite
-    kind picks uniform rows of itself, or of its patch.
+    exact distance test. Whole-shape draws go on until every generator is
+    full; a patch generator still short after _ROUNDS rounds gives fewer
+    rows, which the counts show. Each generator makes its own draws in its
+    own order whatever else is stacked with it; only the elementwise work
+    between draws is stacked. A finite kind picks uniform rows of itself, or
+    of its patch.
     """
 
     _normals = 0
@@ -78,19 +78,6 @@ class Shape:
     def finite_points(self):
         """The shape's points as a (k, n) array when it is finite, else None."""
         return None
-
-    def sample(self, count, rng):
-        fin = self.finite_points()
-        if fin is not None:
-            return _pick(fin, count, rng)
-        parts = []
-        while count:
-            u, g = _draws((rng,), (2 * count + 4,), self._width, self._normals)
-            accept, pts = self._propose(u, g, self._whole)
-            pts = pts[accept][:count]
-            count -= pts.shape[0]
-            parts.append(pts)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def sample_stacked(self, rngs, count, centers=None, radius=None):
         """(rows, counts): the rows of every generator of ``rngs`` in turn,
@@ -106,7 +93,9 @@ class Shape:
         window = self._whole if centers is None else self._window(centers, radius)
         rows, owners = [], []
         todo = np.arange(len(rngs))
-        for _ in range(_ROUNDS):
+        rounds = 0
+        while todo.size and (centers is None or rounds < _ROUNDS):
+            rounds += 1
             m = 2 * need[todo] + 4
             owner = np.repeat(todo, m)
             u, g = _draws([rngs[i] for i in todo.tolist()], m, self._width, self._normals)
@@ -122,8 +111,6 @@ class Shape:
             owners.append(owner[keep])
             need[todo] -= np.minimum(taken[ends] - before, need[todo])
             todo = todo[need[todo] > 0]
-            if not todo.size:
-                break
         owner = np.concatenate(owners)
         order = np.argsort(owner, kind="stable")
         return np.concatenate(rows)[order], np.bincount(owner, minlength=len(rngs))
@@ -166,9 +153,6 @@ class _RoundSphere(Shape):
         """(dimension, area) of the (n-1)-sphere of this radius."""
         n = self.ambient_dim
         return n - 1, 2.0 * math.pi ** (n / 2) / math.gamma(n / 2) * self.radius ** (n - 1)
-
-    def sample(self, count, rng):
-        return self._on_sphere(rng.standard_normal((count, self.ambient_dim)))
 
     def sample_stacked(self, rngs, count, centers=None, radius=None):
         if centers is not None:
@@ -543,14 +527,14 @@ def _check_finite(shape, *names):
     """Raise UnsupportedShape unless the named fields of shape are finite
     real numbers. Finite parameters keep the whole-shape thinning's
     acceptance above b/a (ellipse) and (R - rho)/(R + rho) (torus), so
-    sample ends."""
+    whole-shape sampling ends."""
     for name in names:
         value = getattr(shape, name)
         if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
             raise UnsupportedShape(f"{shape.kind} {name} must be a finite real, got {value!r}")
 
 
-# rounds of a stacked sampler before a generator still short gives up
+# rounds of a patch sampler before a generator still short gives up
 _ROUNDS = 64
 
 
@@ -558,10 +542,6 @@ def _draws(rngs, m, width, normals):
     """(u, g): generator i's m[i] candidates take the rows of
     rngs[i].random((m[i], width)), then of rngs[i].standard_normal((m[i],
     normals)), the generators in turn; u is None at width 0, g at normals 0."""
-    if len(rngs) == 1:
-        rng, k = rngs[0], int(m[0])
-        return (rng.random((k, width)) if width else None,
-                rng.standard_normal((k, normals)) if normals else None)
     total = int(np.sum(m))
     u = np.empty((total, width)) if width else None
     g = np.empty((total, normals)) if normals else None
@@ -587,13 +567,9 @@ def _angle_window(dist, scale):
 
 
 def _pick(points, count, rng):
-    """`count` uniform rows, none of none; one row takes rng.integers' cheaper
-    scalar path, same draw."""
+    """`count` uniform rows, none of none."""
     if not points.shape[0]:
         return points
-    if count == 1:
-        i = rng.integers(0, points.shape[0])
-        return points[i:i + 1]
     return points[rng.integers(0, points.shape[0], size=count)]
 
 
@@ -662,15 +638,15 @@ def _check_seed(seed) -> None:
 def sample_rng(shape, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` on-shape points using the supplied generator."""
     _check_count(count)
-    return _shape(shape).sample(count, rng)
+    return _shape(shape).sample_stacked((rng,), count)[0]
 
 
 def sample_stacked(shape, rngs, count, centers=None, radius=None) -> tuple:
     """(rows, counts): for each generator of the sequence `rngs` in turn,
     `count` (an integer, or one per generator) uniform points on the shape,
-    the rows of sample_rng(shape, count, rng); or with `centers` (one row
-    per generator) uniform points on the patch within Euclidean `radius` of
-    the generator's center. counts[i] rows come from rngs[i]; a generator
+    as sample_rng draws them; or with `centers` (one row per generator)
+    uniform points on the patch within Euclidean `radius` of the
+    generator's center. counts[i] rows come from rngs[i]; a generator
     whose patch sampler runs out of rounds gives fewer (see Shape)."""
     if np.ndim(count) == 0:
         _check_count(count)
@@ -765,8 +741,8 @@ def estimate_reach(shape, grid_density: int) -> float:
     n = ambient_dim(shape)
     if n > 3:
         raise DimensionMismatch(f"estimate_reach supports ambient dim <= 3, got {n}")
-    if grid_density < 2:
-        raise InvalidInput("grid_density must be >= 2")
+    if not isinstance(grid_density, numbers.Integral) or grid_density < 2:
+        raise InvalidInput(f"grid_density must be an integer >= 2, got {grid_density!r}")
 
     box = shape.bounding_box()
     center = 0.5 * (box[0] + box[1])

@@ -97,7 +97,7 @@ class TransportPlan:
     entries: tuple
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
+        return as_floats(self.entries, "transport plan")
 
 
 def _cost_matrix(mu: Measure, nu: Measure) -> np.ndarray:
@@ -109,6 +109,8 @@ def _cost_matrix(mu: Measure, nu: Measure) -> np.ndarray:
 def plan_cost(plan: TransportPlan, mu: Measure, nu: Measure) -> float:
     """Total mass-times-distance cost of a feasible plan."""
     P = plan.array()
+    if not np.isfinite(P).all():
+        raise InvalidInput("transport plan has non-finite entries")
     a, b = mu.weight_array(), nu.weight_array()
     if P.shape != (a.size, b.size):
         raise DimensionMismatch(f"plan shape {P.shape} does not match supports {(a.size, b.size)}")

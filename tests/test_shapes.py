@@ -300,3 +300,9 @@ def test_estimate_reach_cheap_densities(shape, density, rel_tol):
     # the torus case runs in the acceptance gate (its 3-D grid is slow)
     est = estimate_reach(shape, density)
     assert abs(est - reach(shape)) <= rel_tol * reach(shape)
+
+
+def test_estimate_reach_density_must_be_an_integer():
+    for density in (2.5, "a", 1, None):
+        with pytest.raises(InvalidInput, match="grid_density must be an integer >= 2"):
+            estimate_reach(Circle(1.0), density)

@@ -24,7 +24,7 @@ from thicken import (Circle, Ellipse, FinitePointSet, Sphere, Torus, ZeroSphere,
 from thicken.shapes import sample_stacked  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
-ROUNDS = 64     # rounds before a generator still short gives up
+ROUNDS = 64     # rounds before a patch generator still short gives up
 
 
 def test_host_elementwise_functions_do_not_depend_on_the_array():
@@ -124,7 +124,7 @@ WHOLE = {Torus: (-math.pi, TWO_PI, -math.pi, TWO_PI), Ellipse: (-math.pi, TWO_PI
 
 def oracle_sample(shape, count, rng, center=None, radius=None):
     """One generator's rows: count uniform points on the shape, or on its
-    patch within radius of center, fewer if the rounds run out."""
+    patch within radius of center, fewer if a patch's rounds run out."""
     fin = shape.finite_points()
     if fin is not None:
         if center is not None:
@@ -135,14 +135,14 @@ def oracle_sample(shape, count, rng, center=None, radius=None):
         return g * (shape.radius / _norms(g))[:, None]
     window = WHOLE[type(shape)] if center is None else _window(shape, center, radius)
     parts = []
-    for _ in range(ROUNDS):
+    rounds = 0
+    while count and (center is None or rounds < ROUNDS):
+        rounds += 1
         accept, pts = _candidates(shape, rng, 2 * count + 4, window)
         if center is not None:
             accept &= _norms(pts - center) <= radius
         parts.append(pts[accept][:count])
         count -= len(parts[-1])
-        if not count:
-            break
     return np.concatenate(parts)
 
 

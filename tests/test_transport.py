@@ -6,6 +6,7 @@ solver for larger ones. Frozen values below were produced by the oracle; the
 pinned digest fixes the solver's pivot sequence through its exact output.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -326,6 +327,12 @@ def test_plan_marginals_checked():
         # right shape, wrong marginals
         other = Measure(((0.0,), (1.0,)), (0.25, 0.75))
         plan_cost(plan, other, nu)
+    square = Measure(((0.0,), (1.0,)), (0.5, 0.5))
+    for entries, match in ((((0.5,), (0.25, 0.25)), "malformed transport plan"),
+                           ((("a", 0.5), (0.0, 0.5)), "malformed transport plan"),
+                           (((0.5, 0.0), (0.0, math.nan)), "non-finite")):
+        with pytest.raises(InvalidInput, match=match):
+            plan_cost(TransportPlan(entries), square, square)
 
 
 def test_measure_text_round_trip():

@@ -1,4 +1,4 @@
-"""Lockstep trial blocks: the simplex suites draw a block of trials at once,
+"""Lockstep trial blocks: every suite draws a block of trials at once,
 each trial on its own stream, and must give the rows that trials run one
 by one give. Also the two shortcuts of the homotopy path: one projection
 per thickening point, and transport values without the plan."""
@@ -19,18 +19,21 @@ from test_transport import random_measure
 
 SIMPLEX_SUITES = ("VrTub", "VrSimplex", "CechRadius", "CechTub", "CechSimplexAmbient",
                   "CechSimplexIntrinsic")
+# the suites that draw their points whole-shape, not as simplices
+OTHER_SUITES = ("Convex", "EmptyBall", "FedererLipschitz")
 SHAPES = (Circle(1.0), Ellipse(2.0, 1.0), Sphere(3, 1.0), Torus(3.0, 1.0), ZeroSphere(),
           FinitePointSet(((0.0, 0.0), (1.0, 0.0), (0.3, 0.8), (1.4, 0.9), (-0.5, 0.6),
                           (0.7, -0.7))))
 
 
-def _rows(shapes_, seeds, trials):
-    """CSV rows of every simplex suite, at two scales per shape: 0.5 and 0.9
-    of the reach for the suites that need the reach gap, 0.9 and 3 of it
-    for the others, which then also see supports wider than the reach."""
+def _rows(shapes_, seeds, trials, suites=SIMPLEX_SUITES):
+    """CSV rows of every suite of `suites`, at two scales per shape: 0.9 and
+    3 of the reach for the simplex suites that do not need the reach gap,
+    which then also see supports wider than the reach, else 0.5 and 0.9."""
     for shape in shapes_:
-        for suite in SIMPLEX_SUITES:
-            shares = (0.5, 0.9) if SUITES[suite].needs_reach_gap else (0.9, 3.0)
+        for suite in suites:
+            wide = suite in SIMPLEX_SUITES and not SUITES[suite].needs_reach_gap
+            shares = (0.9, 3.0) if wide else (0.5, 0.9)
             for share in shares:
                 for seed in seeds:
                     rep = SUITES[suite].run(shape, share * reach(shape), 5, trials, seed, False)
@@ -45,6 +48,16 @@ def test_simplex_suite_rows_are_pinned():
     for row in _rows(SHAPES, (1, 2, 3), 150):
         digest.update(row.encode() + b"\n")
     assert digest.hexdigest() == "c05e2252893c858f231bacdfb698e4f5fb8524a259dcf94f7146b60376e19156"
+
+
+def test_other_suite_rows_are_pinned():
+    # 108 rows of Convex, EmptyBall and FedererLipschitz over the six
+    # shapes, three seeds and two scales; the digest was taken when these
+    # suites ran one trial at a time on a one-generator sampler
+    digest = hashlib.sha256()
+    for row in _rows(SHAPES, (1, 2, 3), 150, OTHER_SUITES):
+        digest.update(row.encode() + b"\n")
+    assert digest.hexdigest() == "b510073d35d108a240f789cb86ee52c17ab6d8a235b164c5ab714db395585efb"
 
 
 def test_lazy_margins_run_few_kernels_and_change_no_row(monkeypatch):
@@ -73,9 +86,11 @@ def test_lazy_margins_run_few_kernels_and_change_no_row(monkeypatch):
 @pytest.mark.parametrize("size", (1, 3))
 def test_block_size_and_pass_cap_change_no_row(monkeypatch, size):
     # each trial keeps its own stream and draws, whatever block it runs in
-    want = list(_rows(SHAPES, (4,), 40))
+    def rows():
+        return [*_rows(SHAPES, (4,), 40), *_rows(SHAPES, (4,), 40, OTHER_SUITES)]
+    want = rows()
     monkeypatch.setattr(retraction, "_BLOCK", size)
-    assert list(_rows(SHAPES, (4,), 40)) == want
+    assert rows() == want
 
 
 def test_trial_generators_of_a_block_are_distinct():
