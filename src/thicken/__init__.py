@@ -54,7 +54,6 @@ from .complexes import (
 from .transport import (
     Measure,
     TransportPlan,
-    oracle_wasserstein1,
     parse_measure_text,
     plan_cost,
     wasserstein1,
@@ -84,7 +83,6 @@ from .retraction import (
 from .harness import (
     EXPERIMENTS,
     CampaignConfig,
-    Experiment,
     ExperimentResult,
     parse_config,
     parse_shape,
@@ -104,7 +102,7 @@ __all__ = [
     "FLAVORS", "ComplexSpec", "MinBallResult", "Simplex", "enumerate_skeleton",
     "format_skeleton", "is_cech_simplex_ambient", "is_cech_simplex_intrinsic",
     "is_vr_simplex", "min_enclosing_ball",
-    "Measure", "TransportPlan", "oracle_wasserstein1",
+    "Measure", "TransportPlan",
     "parse_measure_text", "plan_cost", "wasserstein1",
     "ThickeningPoint", "inclusion_iota", "linear_projection_f",
     "make_thickening_point", "thickening_distance",
@@ -112,7 +110,7 @@ __all__ = [
     "check_cech_simplex_lemma", "check_cech_tub_lemma", "check_convex_lemma",
     "check_empty_ball", "check_federer", "check_vr_simplex_lemma",
     "check_vr_tub_lemma", "homotopy_H", "retract",
-    "EXPERIMENTS", "CampaignConfig", "Experiment", "ExperimentResult",
+    "EXPERIMENTS", "CampaignConfig", "ExperimentResult",
     "parse_config", "parse_shape", "run_campaign",
     "__version__",
 ]

@@ -112,11 +112,11 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    exp = EXPERIMENTS.get(args.name)
-    if exp is None:
+    run = EXPERIMENTS.get(args.name)
+    if run is None:
         raise ConfigError(f"unknown experiment {args.name!r}; "
                           f"registered: {sorted(EXPERIMENTS)}")
-    result = exp.run()
+    result = run()
     sys.stdout.write(result.to_json_lines() if args.json_lines else result.to_csv())
     print(f"verdict: {result.verdict}", file=sys.stderr)
     return EXIT_PASS if result.verdict == "PASS" else EXIT_FAIL

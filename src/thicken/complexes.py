@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity, SizeLimit
-from .euclid import (as_point, as_points, band, coincident_pair, diameter, max_row_norm, norm,
+from .euclid import (as_point, as_points, band, coincident_pair, max_row_norm, norm,
                      square_distances, threshold_compare)
 from .shapes import project
 
@@ -201,7 +201,7 @@ def membership_quantity(pts: np.ndarray, spec: ComplexSpec, witnesses: Sequence 
     or intrinsic_cover over the witnesses (inf when there is no on-shape
     center) and scale/2."""
     if spec.flavor == "vr":
-        return diameter(pts), spec.scale
+        return math.sqrt(square_distances(pts).max()), spec.scale
     half = spec.scale / 2.0
     if spec.flavor == "cech-ambient":
         return min_enclosing_ball(pts).radius, half

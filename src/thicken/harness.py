@@ -12,15 +12,13 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from .complexes import ComplexSpec, Simplex, is_cech_simplex_ambient
-from .errors import ConfigError, MedialAxisProximity, ThickenError
+from .errors import ConfigError, InvalidInput, MedialAxisProximity, ThickenError
 from .retraction import (CAMPAIGN_FLAVORS, CSV_COLUMNS, LEMMA_IDS, SUITES, LemmaReport,
-                         below_reach, reach_limit, retract)
+                         _check_cell_args, below_reach, reach_limit, retract)
 from .shapes import (
     SHAPE_KINDS,
     Circle,
@@ -53,25 +51,26 @@ class CampaignConfig:
     timing: bool = False
 
     def __post_init__(self):
+        """The checkers' rules on k, trials, seed and each r (_check_cell_args),
+        raised as ConfigError, and the campaign's own: a float r for each of
+        a non-empty grid, k <= 6, known suites, and r below the reach of the
+        shape unless tightness is set."""
         if not self.rs:
             raise ConfigError("need at least one scale r")
         for r in self.rs:
-            if not (isinstance(r, float) and math.isfinite(r) and r > 0):
-                raise ConfigError(f"scale r must be positive and finite, got {r!r}")
-        for name in ("k", "trials", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 0 <= self.k <= 6:
+            if not isinstance(r, float):
+                raise ConfigError(f"scale r must be a float, got {r!r}")
+            try:
+                _check_cell_args(r, self.k, self.trials, self.seed)
+            except InvalidInput as exc:
+                raise ConfigError(str(exc)) from None
+        if self.k > 6:
             raise ConfigError(f"k must be in 0..6, got {self.k}")
-        if self.trials < 0:
-            raise ConfigError(f"trials must be >= 0, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be >= 0 and below 2**64, got {self.seed}")
         if not self.lemmas:
             raise ConfigError("need at least one lemma suite")
         bad = [m for m in self.lemmas if m not in LEMMA_IDS]
         if bad:
-            raise ConfigError(f"unknown lemma suites {bad}")
+            raise ConfigError(f"unknown lemma suites {bad}; valid: {list(LEMMA_IDS)}")
         for r in self.rs:
             if not (self.tightness or below_reach(self.shape, r)):
                 raise ConfigError(
@@ -198,14 +197,7 @@ def parse_config(text: str) -> CampaignConfig:
         raise ConfigError(f"flavor must be one of {list(CAMPAIGN_FLAVORS)}, got {flavor!r}")
     lemmas = tuple(m for m in LEMMA_IDS if flavor in SUITES[m].flavors)
     if "lemmas" in seen:
-        requested = tuple(tok for tok in seen["lemmas"].split(",") if tok)
-        bad = [m for m in requested if m not in LEMMA_IDS]
-        if bad:
-            raise ConfigError(f"unknown lemma suites {bad}; valid: {list(LEMMA_IDS)}")
-        outside = [m for m in requested if m not in lemmas]
-        if outside:
-            raise ConfigError(f"lemma suites {outside} are not in flavor {flavor!r}")
-        lemmas = requested
+        lemmas = tuple(tok for tok in seen["lemmas"].split(",") if tok)
 
     # keys left out take CampaignConfig's defaults
     try:
@@ -214,9 +206,14 @@ def parse_config(text: str) -> CampaignConfig:
                       for key in ("strict", "tightness", "timing") if key in seen)
         if "out" in seen:
             fields["out"] = seen["out"]
-        return CampaignConfig(shape=shape, rs=rs, lemmas=lemmas, **fields)
+        config = CampaignConfig(shape=shape, rs=rs, lemmas=lemmas, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the config has checked that each requested suite is known
+    outside = [m for m in config.lemmas if flavor not in SUITES[m].flavors]
+    if outside:
+        raise ConfigError(f"lemma suites {outside} are not in flavor {flavor!r}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +351,8 @@ def reach_validation_experiment() -> ExperimentResult:
                              "tolerance", "ok"), tuple(rows))
 
 
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    claim: str
-    run: Callable[[], ExperimentResult]
-
-
+# experiment id -> the function that runs it; its docstring states the claim
 EXPERIMENTS = {
-    "s0-tightness": Experiment(
-        name="s0-tightness",
-        claim="at scale 2 the two-point set joins the min-ball complex while its "
-              "balanced barycenter projects onto the midpoint tie; below scale 2 "
-              "the pair is never a simplex and all lemma suites pass",
-        run=s0_tightness_experiment),
-    "reach-validation": Experiment(
-        name="reach-validation",
-        claim="the grid-search reach estimator reproduces the closed-form reach "
-              "within 1% (circle), 2% (ellipse), 5% (torus), and exactly for a "
-              "finite pair",
-        run=reach_validation_experiment),
+    "s0-tightness": s0_tightness_experiment,
+    "reach-validation": reach_validation_experiment,
 }

@@ -316,27 +316,32 @@ def _trial_rngs(seed: int, trials: int):
         _POOLS.append(pool)
 
 
-def _check_cell_args(r, k, trials, seed) -> None:
+def _check_cell_args(r, k, trials, seed, lemma_id=None, shape=None) -> None:
     """The one rule on a checker's arguments: integers k >= 0 and trials >= 0,
-    a finite r > 0 and a seed the trial streams take. Checkers that draw a set-up
-    from them call it first; _run_cell calls it for every checker."""
-    for name, value in (("k", k), ("trials", trials)):
+    a finite r > 0, a seed the trial streams take and, for a suite that
+    SUITES marks needs_reach_gap, r below reach_limit(shape). Checkers that
+    draw a set-up from them call it first; _run_cell calls it for every
+    checker, and CampaignConfig, without a suite, for each scale."""
+    for name, value in (("k", k), ("trials", trials), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or value < 0:
             raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
     if not (r > 0 and math.isfinite(r)):
         raise InvalidInput(f"r must be positive and finite, got {r!r}")
     _check_seed(seed)
+    if lemma_id is not None and SUITES[lemma_id].needs_reach_gap and not below_reach(shape, r):
+        raise InvalidInput(f"need r < reach*(1-1e-3) = {reach_limit(shape):g}, got {r:g}")
 
 
 def _run_cell(lemma_id, shape, r, k, trials, seed, run_block) -> LemmaReport:
-    """Check the arguments, run the trials in blocks of _BLOCK and aggregate
-    their outcomes. run_block(rngs) gives the outcomes of one block's
-    trials, whose generators rngs are on the streams (seed, t): (margin,
-    tol), None for a starved trial, or the AmbiguousPredicate of an
-    ambiguous one. A lazy margin is a pair (ub, exact) whose exact() <= ub:
-    exact runs only when ub could raise the worst margin or be a violation,
-    so the row is the one the exact margins give."""
-    _check_cell_args(r, k, trials, seed)
+    """Check the arguments, the reach gap of lemma_id's suite included, run
+    the trials in blocks of _BLOCK and aggregate their outcomes.
+    run_block(rngs) gives the outcomes of one block's trials, whose
+    generators rngs are on the streams (seed, t): (margin, tol), None for a
+    starved trial, or the AmbiguousPredicate of an ambiguous one. A lazy
+    margin is a pair (ub, exact) whose exact() <= ub: exact runs only when
+    ub could raise the worst margin or be a violation, so the row is the one
+    the exact margins give."""
+    _check_cell_args(r, k, trials, seed, lemma_id, shape)
     amb = starved = viol = 0
     worst = -math.inf
     streams = _trial_rngs(seed, trials)
@@ -370,11 +375,6 @@ def below_reach(shape, r: float) -> bool:
     """Whether r keeps the gap to the reach (r < reach_limit) that the
     checkers needing a unique nearest point (Suite.needs_reach_gap) require."""
     return r < reach_limit(shape)
-
-
-def _require_scale_below_reach(shape, r: float) -> None:
-    if not below_reach(shape, r):
-        raise InvalidInput(f"need r < reach*(1-1e-3) = {reach_limit(shape):g}, got {r:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,7 @@ def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin
     drawn around. A margin whose projection lands on the medial axis counts
     as inf. A block's trials draw their supports in lockstep and are scored
     one by one."""
-    _check_cell_args(r, k, trials, seed)
+    _check_cell_args(r, k, trials, seed, lemma_id, shape)
     cap = _max_feasible_atoms(shape, spec, k + 1)
     tol = band(r)
 
@@ -451,7 +451,6 @@ def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
 def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Adjoining the retraction point keeps a diameter-r support within
     diameter r: every vertex lies within r of the projected barycenter."""
-    _require_scale_below_reach(shape, r)
 
     def margin(pts, lam, y):
         p = project(shape, lam @ pts)
@@ -487,12 +486,11 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
     form asserted; the margin reports the strict gap)."""
     if flavor not in ("ambient", "intrinsic"):
         raise InvalidInput(f"flavor must be ambient or intrinsic, got {flavor!r}")
-    _require_scale_below_reach(shape, r)
     spec = ComplexSpec("cech-" + flavor, 2.0 * r, strict=strict, shape=shape)
     if flavor == "ambient":
         margin = _ambient_margin(shape, r)
     else:  # its witness pool is drawn once the arguments pass
-        _check_cell_args(r, k, trials, seed)
+        _check_cell_args(r, k, trials, seed, "CechSimplexIntrinsic", shape)
         margin = _intrinsic_margin(shape, r, _stream(seed, trials))
     return _simplex_cell("CechSimplex" + flavor.title(), shape, r, k, trials, seed, spec, margin)
 
@@ -567,9 +565,7 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
 def check_federer(shape, r, trials, seed) -> LemmaReport:
     """Projection is Lipschitz on the radius-r tube with factor
     reach/(reach - r)."""
-    _require_scale_below_reach(shape, r)
     tau = reach(shape)
-    factor = tau / (tau - r)
     dim = ambient_dim(shape)
 
     def shot(rng, base):
@@ -583,7 +579,7 @@ def check_federer(shape, r, trials, seed) -> LemmaReport:
             py = project(shape, y)
         except MedialAxisProximity:
             return False
-        bound = factor * norm(x - y)
+        bound = tau / (tau - r) * norm(x - y)  # shots run after _run_cell's reach-gap check
         return norm(px - py) - bound, band(bound)
 
     return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _redraws(shape, 2, shot))
@@ -599,8 +595,9 @@ class Suite:
 
     run(shape, r, k, trials, seed, strict) -> LemmaReport; flavors are the
     campaign flavors that include the suite; needs_reach_gap marks checkers
-    that require r below the reach; a suite that ignores r (uses_r False)
-    runs once per campaign and its report serves every scale.
+    that require r below the reach, the one record of it, which
+    _check_cell_args enforces before any set-up draw; a suite that ignores r
+    (uses_r False) runs once per campaign and its report serves every scale.
     """
 
     run: Callable

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidInput, MedialAxisProximity, SizeLimit,
                      UnsupportedShape)
-from .euclid import EPS_MED, as_point, as_points, coincident_pair, row_norms, square_distances
+from .euclid import (EPS_MED, as_point, as_points, coincident_pair, norm, row_norms,
+                     square_distances)
 
 __all__ = [
     "Shape",
@@ -137,10 +138,10 @@ class _RoundSphere(Shape):
         return self.radius
 
     def distance(self, p) -> float:
-        return abs(float(np.linalg.norm(p)) - self.radius)
+        return abs(norm(p) - self.radius)
 
     def project(self, p):
-        nrm = float(np.linalg.norm(p))
+        nrm = norm(p)
         if nrm <= self.radius * EPS_MED:
             raise MedialAxisProximity("input at the center: all directions tie")
         return p * (self.radius / nrm)
@@ -404,7 +405,7 @@ class Torus(Shape):
             raise MedialAxisProximity("input on the torus axis: a circle of nearest points")
         spine = np.array([p[0], p[1], 0.0]) * (self.major / rho_xy)
         v = p - spine
-        vn = float(np.linalg.norm(v))
+        vn = norm(v)
         if vn <= self.minor * EPS_MED:
             raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
         return spine + v * (self.minor / vn)
@@ -443,34 +444,55 @@ class Torus(Shape):
         return 2, 4.0 * math.pi ** 2 * self.major * self.minor
 
 
+class _FiniteShape(Shape):
+    """Closed forms shared by ZeroSphere and FinitePointSet: the finite set
+    of the rows of ``points``. Its reach is half the least distance between
+    two of them, and a point ties when its second-nearest row is within
+    EPS_MED * max(d1, reach) of its nearest, d1 away."""
+
+    def array(self) -> np.ndarray:
+        return np.asarray(self.points, dtype=float)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.points[0])
+
+    @property
+    def reach(self) -> float:
+        d2 = square_distances(self.array())
+        return 0.5 * float(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)].min()))
+
+    def distance(self, p) -> float:
+        return float(np.sqrt(((self.array() - p) ** 2).sum(axis=1).min()))
+
+    def project(self, p):
+        pts = self.array()
+        dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
+        order = np.argsort(dists, kind="stable")
+        d1, d2 = dists[order[0]], dists[order[1]]
+        if not d2 - d1 > EPS_MED * max(d1, self.reach):  # NaN: both distances overflow
+            raise MedialAxisProximity("two sample points tie as nearest")
+        return pts[order[0]].copy()
+
+    def finite_points(self):
+        return self.array()
+
+    def bounding_box(self):
+        pts = self.array()
+        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
+
+
 @dataclass(frozen=True)
-class ZeroSphere(Shape):
+class ZeroSphere(_FiniteShape):
     """The two-point set {-1, +1} in R^1."""
 
     kind = "zerosphere"
-    ambient_dim = 1
-    reach = 1.0
+    points = ((-1.0,), (1.0,))
     label = "zerosphere"
-
-    def distance(self, p) -> float:
-        return min(abs(p[0] - 1.0), abs(p[0] + 1.0))
-
-    def project(self, p):
-        d_plus = abs(p[0] - 1.0)
-        d_minus = abs(p[0] + 1.0)
-        if abs(d_plus - d_minus) <= EPS_MED * self.reach:
-            raise MedialAxisProximity("equidistant from -1 and +1")
-        return np.array([1.0 if d_plus < d_minus else -1.0])
-
-    def finite_points(self):
-        return np.array([[-1.0], [1.0]])
-
-    def bounding_box(self):
-        return self.finite_points()
 
 
 @dataclass(frozen=True)
-class FinitePointSet(Shape):
+class FinitePointSet(_FiniteShape):
     """A finite set of at least two distinct points in R^n."""
 
     points: tuple = field(default=())
@@ -487,40 +509,9 @@ class FinitePointSet(Shape):
             if self.reach == math.inf:
                 raise UnsupportedShape("finite point set reach overflows")
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.points[0])
-
-    @property
-    def reach(self) -> float:
-        d2 = square_distances(self.array())
-        return 0.5 * float(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)].min()))
-
     @property
     def label(self) -> str:
         return f"finite(n={len(self.points)})"
-
-    def distance(self, p) -> float:
-        return float(np.sqrt(((self.array() - p) ** 2).sum(axis=1).min()))
-
-    def project(self, p):
-        pts = self.array()
-        dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
-        order = np.argsort(dists, kind="stable")
-        d1, d2 = dists[order[0]], dists[order[1]]
-        if d2 - d1 <= EPS_MED * max(d1, self.reach):
-            raise MedialAxisProximity("two sample points tie as nearest")
-        return pts[order[0]].copy()
-
-    def finite_points(self):
-        return self.array()
-
-    def bounding_box(self):
-        pts = self.array()
-        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
 
 def _check_finite(shape, *names):

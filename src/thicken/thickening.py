@@ -11,7 +11,7 @@ import numpy as np
 
 from .complexes import ComplexSpec, is_simplex, membership_quantity
 from .errors import InvalidInput, SimplexViolation, SpecMismatch
-from .euclid import as_point, band
+from .euclid import as_point, band, norm
 from .shapes import distance_to_shape
 from .transport import Measure, wasserstein1
 
@@ -66,7 +66,7 @@ def inclusion_iota(x, spec: ComplexSpec) -> ThickeningPoint:
     p = as_point(x)
     if spec.shape is not None:
         gap = distance_to_shape(spec.shape, p)
-        if gap > band(float(np.linalg.norm(p))):
+        if gap > band(norm(p)):
             raise InvalidInput(f"point is off-shape by {gap:.3g}, cannot include")
     measure = Measure((tuple(map(float, p)),), (1.0,))
     return make_thickening_point(measure, spec, witnesses=(tuple(map(float, p)),))

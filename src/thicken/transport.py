@@ -9,15 +9,11 @@ as in Bonneel et al. 2011): pricing is one pass over the reduced costs, on
 Python lists up to _LIST_PRICING_CELLS cells and vectorized above, the
 entering arc is the most negative with lexicographic ties, with a Bland
 fallback after degenerate streaks, and each pivot re-hangs only the subtree
-that the leaving arc cuts off. A brute-force oracle enumerates every
-spanning-tree basis of tiny instances for independent verification.
+that the leaving arc cuts off.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -264,82 +260,6 @@ def wasserstein1(mu: Measure, nu: Measure, *, plan: bool = True) -> tuple:
     F = np.array(F).reshape(m, n)
     F[F < 0] = 0.0
     return float(np.sum(F * C)), TransportPlan(tuple(map(tuple, F.tolist()))) if plan else None
-
-
-@lru_cache(maxsize=32)
-def _spanning_bases(m: int, n: int) -> tuple:
-    """All spanning trees of K_{m,n} (m + n - 1 arcs (i, j) joining all nodes), each with
-    its leaf-elimination steps (leaf node k, arc index e, node k passes its supply to),
-    which depend on the tree alone; rows are nodes 0..m-1, columns nodes m..m+n-1."""
-    arcs = [(i, j) for i in range(m) for j in range(n)]
-    out = []
-    for subset in combinations(range(len(arcs)), m + n - 1):
-        parent = list(range(m + n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for k in subset:
-            i, j = arcs[k]
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if not ok:
-            continue
-        tree = tuple(arcs[k] for k in subset)
-        adj = {k: [] for k in range(m + n)}
-        for e, (i, j) in enumerate(tree):
-            adj[i].append(e)
-            adj[m + j].append(e)
-        degree = {k: len(adj[k]) for k in adj}
-        leaves = [k for k, d in degree.items() if d == 1]
-        removed, steps = set(), []
-        while leaves:
-            k = leaves.pop()
-            e = next((e for e in adj[k] if e not in removed), None)
-            if e is None:
-                continue
-            i, j = tree[e]
-            other = m + j if k < m else i
-            steps.append((k, e, other))
-            removed.add(e)
-            degree[other] -= 1
-            if degree[other] == 1:
-                leaves.append(other)
-        out.append((tree, tuple(steps)))
-    return tuple(out)
-
-
-def oracle_wasserstein1(mu: Measure, nu: Measure) -> float:
-    """Brute-force optimum: enumerate every spanning-tree basis, solve its
-    unique flow by leaf elimination, keep the cheapest feasible one."""
-    C = _cost_matrix(mu, nu)
-    a, b = mu.weight_array(), nu.weight_array()
-    m, n = C.shape
-    if m * n > 16:
-        raise SizeLimit(f"oracle supports |mu|*|nu| <= 16, got {m * n}")
-    costs = C.tolist()
-    best = math.inf
-    for tree, steps in _spanning_bases(m, n):
-        flows = [0.0] * len(tree)
-        supply = list(a) + [-x for x in b]
-        for k, e, other in steps:
-            flows[e] = supply[k] if k < m else -supply[k]
-            if flows[e] < -1e-12:
-                break
-            supply[other] += supply[k]
-            supply[k] = 0.0
-        else:
-            cost = sum(f * costs[i][j] for (i, j), f in zip(tree, flows))
-            if cost < best:
-                best = cost
-    return best
 
 
 def parse_measure_text(text: str) -> Measure:

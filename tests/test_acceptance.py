@@ -26,7 +26,6 @@ from thicken import (
     linear_projection_f,
     make_thickening_point,
     min_enclosing_ball,
-    oracle_wasserstein1,
     reach,
     retract,
     thickening_distance,
@@ -36,7 +35,7 @@ from thicken.harness import s0_tightness_experiment
 
 from test_complexes import oracle_min_ball
 from test_thickening import vr_measure_on
-from test_transport import random_measure
+from test_transport import oracle_wasserstein1, random_measure
 
 # the four standard shapes with the near-reach scale 0.9 * reach
 SHAPES4 = (

@@ -33,8 +33,8 @@ from thicken import (
     sample_rng,
     thickening_distance,
 )
-from thicken.retraction import (CSV_COLUMNS, _ambient_margin, _draw_patches, _intrinsic_margin,
-                                _stream, _trial_rngs)
+from thicken.retraction import (CSV_COLUMNS, SUITES, _ambient_margin, _draw_patches,
+                                _intrinsic_margin, _stream, _trial_rngs, reach_limit)
 
 from test_thickening import vr_measure_on
 
@@ -321,6 +321,16 @@ def test_ellipse_cech_simplex_has_no_false_medial_ties(seed):
 
 
 def test_checkers_guard_scale_against_reach():
+    # SUITES alone records the reach gap: at reach_limit a gated suite
+    # raises and an ungated one runs
+    shape = Circle(1.0)
+    for lemma, suite in SUITES.items():
+        if suite.needs_reach_gap:
+            with pytest.raises(InvalidInput, match="reach"):
+                suite.run(shape, reach_limit(shape), 3, 10, 1, False)
+        else:
+            rep = suite.run(shape, reach_limit(shape), 3, 10, 1, False)
+            assert rep.lemma_id == lemma and rep.trials == 10 and rep.violations == 0
     with pytest.raises(ValueError, match="reach"):
         check_vr_simplex_lemma(Circle(1.0), 1.0, 3, 10, seed=1)
     with pytest.raises(ValueError, match="reach"):

@@ -115,7 +115,10 @@ def test_distance_to_shape_known_values():
     assert distance_to_shape(Circle(1.0), [2.0, 0.0]) == 1.0
     # radially inward in the z=0 plane lands on the tube's inner equator
     assert distance_to_shape(Torus(3.0, 1.0), [3.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert distance_to_shape(ZeroSphere(), [0.25]) == 0.75
+    # ZeroSphere is the finite set {-1, +1}
+    for shape in (ZeroSphere(), FinitePointSet(((-1.0,), (1.0,)))):
+        assert distance_to_shape(shape, [0.25]) == 0.75
+        assert distance_to_shape(shape, [-3e6]) == 3e6 - 1.0
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=shape_label)
@@ -227,7 +230,9 @@ def test_projection_known_values():
             distance_to_shape(Ellipse(2.0, 1.0), x), abs=1e-12)
     # torus: radially outward in the z=0 plane hits the outer equator
     assert np.allclose(project(Torus(3.0, 1.0), [5.0, 0.0, 0.0]), [4.0, 0.0, 0.0])
-    assert np.allclose(project(ZeroSphere(), [0.2]), [1.0])
+    for shape in (ZeroSphere(), FinitePointSet(((-1.0,), (1.0,)))):
+        assert project(shape, [0.2]).tolist() == [1.0]
+        assert project(shape, [-1e6]).tolist() == [-1.0]
     fp = FinitePointSet(((0.0, 0.0), (3.0, 0.0)))
     assert np.allclose(project(fp, [1.0, 1.0]), [0.0, 0.0])
 
@@ -237,8 +242,13 @@ def test_projection_medial_axis_raises():
         project(Circle(1.0), [0.0, 0.0])
     with pytest.raises(MedialAxisProximity):
         project(Sphere(3, 1.0), [0.0, 0.0, 0.0])
-    with pytest.raises(MedialAxisProximity):
-        project(ZeroSphere(), [0.0])
+    # a finite set ties within EPS_MED * max(d1, reach): {-1, +1} at 0, and
+    # from |x| ~ 2e6 on, where its two distances are 2 apart, up to 1e200,
+    # where both overflow
+    for shape in (ZeroSphere(), FinitePointSet(((-1.0,), (1.0,)))):
+        for x in (0.0, 3e6, -3e6, 1e200):
+            with pytest.raises(MedialAxisProximity), np.errstate(over="ignore", invalid="ignore"):
+                project(shape, [x])
     with pytest.raises(MedialAxisProximity):
         project(Torus(3.0, 1.0), [0.0, 0.0, 5.0])  # points on the z-axis tie
     with pytest.raises(MedialAxisProximity):

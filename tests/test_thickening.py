@@ -16,10 +16,11 @@ from thicken import (
     is_vr_simplex,
     linear_projection_f,
     make_thickening_point,
-    oracle_wasserstein1,
     sample_rng,
     thickening_distance,
 )
+
+from test_transport import oracle_wasserstein1
 
 
 def vr_measure_on(shape, scale, natoms, rng) -> Measure:

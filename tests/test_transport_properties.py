@@ -9,8 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from test_transport import lp_wasserstein  # noqa: E402
-from thicken import Measure, oracle_wasserstein1, plan_cost, wasserstein1  # noqa: E402
+from test_transport import lp_wasserstein, oracle_wasserstein1  # noqa: E402
+from thicken import Measure, plan_cost, wasserstein1  # noqa: E402
 from thicken.euclid import coincident_pair  # noqa: E402
 from thicken.transport import _LIST_PRICING_CELLS  # noqa: E402
 
