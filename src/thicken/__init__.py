@@ -34,6 +34,7 @@ from .shapes import (
     distance_to_shape,
     estimate_reach,
     project,
+    project_rows,
     reach,
     sample,
     sample_rng,
@@ -98,7 +99,7 @@ __all__ = [
     "diameter",
     "Circle", "Ellipse", "FinitePointSet", "Shape", "Sphere", "Torus",
     "ZeroSphere", "ambient_dim", "distance_to_shape", "estimate_reach",
-    "project", "reach", "sample", "sample_rng", "shape_label",
+    "project", "project_rows", "reach", "sample", "sample_rng", "shape_label",
     "FLAVORS", "ComplexSpec", "MinBallResult", "Simplex", "enumerate_skeleton",
     "format_skeleton", "is_cech_simplex_ambient", "is_cech_simplex_intrinsic",
     "is_vr_simplex", "min_enclosing_ball",

@@ -24,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity, SizeLimit
-from .euclid import (as_point, as_points, band, coincident_pair, max_row_norm, norm,
+from .errors import AmbiguousPredicate, InvalidInput, SizeLimit
+from .euclid import (as_point, as_points, band, coincident_pair, dot_norms, norm, row_norms,
                      square_distances, threshold_compare)
-from .shapes import project
+from .shapes import project_rows
 
 FLAVORS = ("vr", "cech-ambient", "cech-intrinsic")
 
@@ -145,7 +145,7 @@ def min_enclosing_ball(points: Sequence) -> MinBallResult:
         return MinBallResult(tuple(map(float, center)), norm(pts[0] - center))
     center, radius = _welzl(pts)
     # sharpen the radius to the farthest point actually enclosed
-    radius = max_row_norm(pts - center)
+    radius = float(row_norms(pts - center).max())
     return MinBallResult(tuple(map(float, center)), radius)
 
 
@@ -163,10 +163,10 @@ def _vertices(s, spec: ComplexSpec, flavor: str) -> np.ndarray:
     return s.array() if isinstance(s, Simplex) else as_points(s)
 
 
-def cover_radius(centers: np.ndarray, pts: np.ndarray) -> float:
+def cover_radius(centers: np.ndarray, pts: np.ndarray):
     """Least over the rows of `centers` of the largest distance to a row of
-    `pts`; inf when there are no centers."""
-    return math.sqrt(square_distances(centers, pts).max(axis=1).min(initial=math.inf))
+    `pts`, inf without centers; one per pair of stacked (c, n) and (k, n)."""
+    return np.sqrt(square_distances(centers, pts).max(axis=-1).min(axis=-1, initial=math.inf))
 
 
 def _radius_bounds(stacks: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -176,9 +176,8 @@ def _radius_bounds(stacks: np.ndarray, d2: np.ndarray) -> np.ndarray:
     from _welzl's center for a diametral pair in either order (the farther).
     A support's bound has the same bits alone as in a stack."""
     g, k, _ = stacks.shape
-    if k < 3:  # min_enclosing_ball's closed form, its dot product as a stacked @
-        d = stacks[:, 0] - 0.5 * (stacks[:, 0] + stacks[:, -1])
-        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    if k < 3:  # min_enclosing_ball's closed form, with norm's bits
+        return dot_norms(stacks[:, 0] - 0.5 * (stacks[:, 0] + stacks[:, -1]))
     rows = np.arange(g)
     i, j = np.divmod(d2.reshape(g, -1).argmax(axis=1), k)
     # _ball_from_support's centers, pts[i] + step and pts[j] - step exactly:
@@ -236,15 +235,11 @@ def intrinsic_cover(verts: np.ndarray, centers: np.ndarray, shape, half: float) 
     unless those already cover within half - 2 * band(half), which decides
     the cover against `half`, the shape projection of the ambient
     smallest-ball center where that projection is defined."""
-    cover = cover_radius(centers, verts)
+    cover = float(cover_radius(centers, verts))
     if cover <= half - 2.0 * band(half):
         return cover
-    try:
-        center = project(shape, np.asarray(min_enclosing_ball(verts).center))
-        cover = min(cover, max_row_norm(center - verts))
-    except MedialAxisProximity:
-        pass
-    return cover
+    feet, tied = project_rows(shape, [min_enclosing_ball(verts).center])
+    return cover if tied[0] else min(cover, float(row_norms(feet[0] - verts).max()))
 
 
 def is_cech_simplex_intrinsic(s, spec: ComplexSpec, witnesses: Sequence) -> bool:

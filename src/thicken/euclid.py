@@ -81,13 +81,14 @@ def norm(v: np.ndarray) -> float:
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(d, axis=1) for a (k, n) float array, without its dispatch."""
-    return np.sqrt((d * d).sum(axis=1))
+    """np.linalg.norm(d, axis=-1) for a (..., n) float array, without its dispatch."""
+    return np.sqrt((d * d).sum(axis=-1))
 
 
-def max_row_norm(d: np.ndarray) -> float:
-    """Largest row norm: the root of the largest square, as the root is monotone."""
-    return math.sqrt((d * d).sum(axis=1).max())
+def dot_norms(v: np.ndarray) -> np.ndarray:
+    """norm of each row of the (k, n) array v, bit for bit: np.vecdot gives
+    ndarray.dot's bits, which a sum of squares does not."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def nearest_distance_query(points):
@@ -146,11 +147,11 @@ _COINCIDENCE_TOL = 1e-12
 
 
 def coincident_rows(a, b) -> np.ndarray:
-    """(len(a), len(b)) boolean matrix: rows a[i] and b[j] agree within
-    1e-12 in every coordinate."""
+    """(..., k, m) boolean array for (..., k, n) and (..., m, n) arrays: rows
+    a[..., i, :] and b[..., j, :] agree within 1e-12 in every coordinate."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (np.abs(a[:, None, :] - b[None, :, :]) <= _COINCIDENCE_TOL).all(axis=2)
+    return (np.abs(a[..., :, None, :] - b[..., None, :, :]) <= _COINCIDENCE_TOL).all(axis=-1)
 
 
 def apart_by_first_coordinate(stacks: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable
 
@@ -22,13 +23,12 @@ import numpy as np
 
 from .complexes import (ComplexSpec, _radius_bounds, bound_verdicts, cover_radius, decide,
                         intrinsic_cover, is_simplex, min_enclosing_ball)
-from .errors import AmbiguousPredicate, InvalidInput, MedialAxisProximity
+from .errors import AmbiguousPredicate, InvalidInput
 from .euclid import (apart_by_first_coordinate, band, coincident_pair, coincident_rows,
-                     max_row_norm, nearest_distance_query, norm, row_norms, square_distances)
+                     dot_norms, nearest_distance_query, norm, row_norms, square_distances)
 from .shapes import (
     _check_seed,
     ambient_dim,
-    distance_to_shape,
     finite_points,
     project,
     reach,
@@ -218,12 +218,8 @@ def _simplex_verdicts(supports, spec: ComplexSpec, ys):
     over the supports of each size; only the supports they leave open go to
     coincident_pair and decide one by one."""
     verdicts = [False] * len(supports)
-    by_size = {}
-    for j, pts in enumerate(supports):
-        if pts is not None:
-            by_size.setdefault(pts.shape[0], []).append(j)
-    for js in by_size.values():
-        stacks = np.stack([supports[j] for j in js])
+    for js in _groups([None if pts is None else pts.shape[0] for pts in supports]):
+        stacks = np.array([supports[j] for j in js])
         apart = apart_by_first_coordinate(stacks).tolist()
         bounds = bound_verdicts(stacks, spec, ys[js]).tolist()
         for j, distinct, bound in zip(js, apart, bounds):
@@ -240,16 +236,26 @@ def _simplex_verdicts(supports, spec: ComplexSpec, ys):
     return verdicts
 
 
-def _redraws(shape, count, shot):
+def _groups(sizes):
+    """Index lists of the equal entries of `sizes`, None entries left out."""
+    out = {}
+    for j, size in enumerate(sizes):
+        if size is not None:
+            out.setdefault(size, []).append(j)
+    return out.values()
+
+
+def _redraws(shape, count, shots):
     """run_block (see _run_cell) for trials that redraw until a shot lands:
     each attempt draws `count` on-shape points for every open trial in one
-    stacked draw, and shot(rng, points) gives the trial's outcome, or False
-    to draw again; a trial whose attempts run out is starved."""
+    stacked draw, and shots(rngs, points) gives the outcomes of the trials
+    on rngs from their (len(rngs), count, n) points, False to draw again; a
+    trial whose attempts run out is starved."""
     def run_block(rngs):
         def attempt(a, todo):
             sub = [rngs[i] for i in todo]
             rows = sample_stacked(shape, sub, count)[0]
-            return map(shot, sub, rows.reshape(len(sub), count, -1))
+            return shots(sub, rows.reshape(len(sub), count, -1))
         return _retry(len(rngs), attempt)
     return run_block
 
@@ -271,11 +277,6 @@ def _max_feasible_atoms(shape, spec: ComplexSpec, cap: int) -> int:
             except AmbiguousPredicate:
                 continue
     return 1
-
-
-def _dirichlet_weights(n: int, rng) -> np.ndarray:
-    w = rng.exponential(size=n)
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +388,8 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
     (half-space or ball) excluding y, some generator lies outside the set."""
 
     def score(rng, pts):
-        lam = _dirichlet_weights(pts.shape[0], rng)
-        y = lam @ pts
+        lam = rng.exponential(size=pts.shape[0])
+        y = lam / lam.sum() @ pts
         gap = (0.01 + 0.99 * rng.random()) * (1.0 + norm(y))
         normal = rng.normal(size=pts.shape[1])
         normal /= norm(normal)
@@ -401,7 +402,7 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
             # ball B(q, rho) with d(q, y) = rho + gap
             rho = (0.1 + 1.9 * rng.random()) * (1.0 + r)
             q = y + (rho + gap) * normal
-            margin = rho - max_row_norm(pts - q)
+            margin = rho - float(row_norms(pts - q).max())
             bound = rho
         return margin, band(bound)
 
@@ -413,70 +414,76 @@ def check_convex_lemma(shape, r, k, trials, seed) -> LemmaReport:
     return _run_cell("Convex", shape, r, k, trials, seed, run_block)
 
 
-def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec, margin) -> LemmaReport:
+def _simplex_cell(lemma_id, shape, r, k, trials, seed, spec: ComplexSpec,
+                  margins) -> LemmaReport:
     """Cell whose trials sample a simplex of 1..k+1 atoms of `spec` (see
-    _sample_simplices), draw convex weights and score `margin(pts, weights,
-    y)` against tolerance at r, y being the on-shape point the support was
-    drawn around. A margin whose projection lands on the medial axis counts
-    as inf. A block's trials draw their supports in lockstep and are scored
-    one by one."""
+    _sample_simplices), then draw convex weights, and score a margin against
+    tolerance at r, the supports of each size in a block at once:
+    margins(pts, bary, ys) gives the margins, floats or lazy pairs (see
+    _run_cell), of the (g, k, n) supports pts with barycenters bary drawn
+    around the rows of ys."""
     _check_cell_args(r, k, trials, seed, lemma_id, shape)
     cap = _max_feasible_atoms(shape, spec, k + 1)
     tol = band(r)
 
-    def score(rng, natoms, drawn):
-        if drawn is None or isinstance(drawn, AmbiguousPredicate):
-            return drawn
-        pts, y = drawn
-        lam = _dirichlet_weights(natoms, rng)
-        try:
-            return margin(pts, lam, y), tol
-        except MedialAxisProximity:
-            return math.inf, tol
-
     def run_block(rngs):
         natoms = [1 + int(rng.integers(0, cap)) for rng in rngs]
-        return map(score, rngs, natoms, _sample_simplices(shape, natoms, spec, rngs))
+        out = _sample_simplices(shape, natoms, spec, rngs)
+        for js in _groups([n if type(d) is tuple else None for n, d in zip(natoms, out)]):
+            w = np.array([rngs[j].exponential(size=natoms[j]) for j in js])
+            pts = np.array([out[j][0] for j in js])
+            # a stacked @ gives each row lam @ pts's bits
+            bary = ((w / w.sum(axis=1)[:, None])[:, None, :] @ pts)[:, 0]
+            for j, m in zip(js, margins(pts, bary, np.array([out[j][1] for j in js]))):
+                out[j] = m, tol
+        return out
 
     return _run_cell(lemma_id, shape, r, k, trials, seed, run_block)
+
+
+def _projected(shape, margins):
+    """margins (see _simplex_cell) of a suite scored at the projections p
+    of the barycenters: margins(pts, p, ys) on the supports whose
+    projection is unique, inf where it ties."""
+    def scored(pts, bary, ys):
+        feet, tied = shape.project_rows(bary)
+        found = iter(margins(pts[~tied], feet[~tied], ys[~tied]))
+        return [math.inf if t else next(found) for t in tied.tolist()]
+    return scored
 
 
 def check_vr_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Barycenters of diameter-r supports stay within r of the shape."""
     return _simplex_cell("VrTub", shape, r, k, trials, seed,
                          ComplexSpec("vr", r, strict=strict, shape=shape),
-                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r)
+                         lambda pts, bary, ys: (shape.distance_rows(bary) - r).tolist())
 
 
 def check_vr_simplex_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Adjoining the retraction point keeps a diameter-r support within
     diameter r: every vertex lies within r of the projected barycenter."""
-
-    def margin(pts, lam, y):
-        p = project(shape, lam @ pts)
-        return max_row_norm(pts - p) - r
+    def margins(pts, p, ys):
+        return (row_norms(pts - p[:, None]).max(axis=1) - r).tolist()
 
     return _simplex_cell("VrSimplex", shape, r, k, trials, seed,
-                         ComplexSpec("vr", r, strict=strict, shape=shape), margin)
+                         ComplexSpec("vr", r, strict=strict, shape=shape),
+                         _projected(shape, margins))
 
 
 def check_cech_radius_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Any hull point of a support with min-ball radius r lies within r of
     some vertex."""
-
-    def margin(pts, lam, y):
-        return float(row_norms(pts - lam @ pts).min()) - r
-
     return _simplex_cell("CechRadius", shape, r, k, trials, seed,
                          ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
-                         margin)
+                         lambda pts, bary, ys: (row_norms(pts - bary[:, None]).min(axis=1)
+                                                - r).tolist())
 
 
 def check_cech_tub_lemma(shape, r, k, trials, seed, strict=False) -> LemmaReport:
     """Barycenters of min-ball-radius-r supports stay within r of the shape."""
     return _simplex_cell("CechTub", shape, r, k, trials, seed,
                          ComplexSpec("cech-ambient", 2.0 * r, strict=strict, shape=shape),
-                         lambda pts, lam, y: distance_to_shape(shape, lam @ pts) - r)
+                         lambda pts, bary, ys: (shape.distance_rows(bary) - r).tolist())
 
 
 def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
@@ -488,46 +495,57 @@ def check_cech_simplex_lemma(shape, r, k, trials, seed, flavor: str = "ambient",
         raise InvalidInput(f"flavor must be ambient or intrinsic, got {flavor!r}")
     spec = ComplexSpec("cech-" + flavor, 2.0 * r, strict=strict, shape=shape)
     if flavor == "ambient":
-        margin = _ambient_margin(shape, r)
+        margins = _ambient_margin(shape, r)
     else:  # its witness pool is drawn once the arguments pass
         _check_cell_args(r, k, trials, seed, "CechSimplexIntrinsic", shape)
-        margin = _intrinsic_margin(shape, r, _stream(seed, trials))
-    return _simplex_cell("CechSimplex" + flavor.title(), shape, r, k, trials, seed, spec, margin)
+        margins = _intrinsic_margin(shape, r, _stream(seed, trials))
+    return _simplex_cell("CechSimplex" + flavor.title(), shape, r, k, trials, seed, spec, margins)
 
 
 def _ambient_margin(shape, r):
-    """CechSimplexAmbient's lazy margin (see _run_cell): the augmented support's
-    min-ball radius less r; the min keeps exact() <= ub in floats."""
-    def margin(pts, lam, y):
-        aug = _augment(pts, project(shape, lam @ pts))
-        ub = float(_radius_bounds(aug[None], square_distances(aug[None]))[0])
-        return ub - r, lambda: min(min_enclosing_ball(aug).radius, ub) - r
-    return margin
+    """CechSimplexAmbient's margins (see _simplex_cell), lazy (see _run_cell)
+    where the projection is unique: each augmented support's min-ball radius
+    less r; the min keeps exact() <= ub in floats."""
+    def exact(aug, ub):
+        return min(min_enclosing_ball(aug).radius, ub) - r
+
+    def margins(pts, p, ys):
+        augs, ubs = _augment(pts, p, lambda aug, rows: _radius_bounds(aug, square_distances(aug)))
+        return [(ub - r, partial(exact, a, ub)) for a, ub in zip(augs, ubs)]
+    return _projected(shape, margins)
 
 
 def _intrinsic_margin(shape, r, rng):
-    """CechSimplexIntrinsic's lazy margin (see _run_cell): the augmented support's
-    least cover by y, p or a row of a pool drawn on rng, less r; the min keeps
-    exact() <= ub."""
+    """CechSimplexIntrinsic's margins (see _simplex_cell), lazy (see
+    _run_cell) where the projection is unique: each augmented support's
+    least cover by y, p or a row of a pool drawn on rng, less r; the min
+    keeps exact() <= ub."""
     pool = np.unique(sample_rng(shape, 1024, rng), axis=0)  # repeats change no cover
-    def margin(pts, lam, y):
-        p = project(shape, lam @ pts)
-        aug = _augment(pts, p)
-        ub = cover_radius(np.stack((y, p)), aug)
 
-        def exact():
-            # a pool point farther from aug[0] than the cover of y or p cannot win
-            near = pool[square_distances(pool, aug[:1])[:, 0] <= ub * ub * (1.0 + 1e-9)]
-            return min(intrinsic_cover(aug, np.concatenate(((y, p), near)), shape, r), ub) - r
-        return ub - r, exact
-    return margin
+    def exact(aug, centers, ub):
+        # a pool point farther from aug[0] than the cover of y or p cannot win
+        near = pool[square_distances(pool, aug[:1])[:, 0] <= ub * ub * (1.0 + 1e-9)]
+        return min(intrinsic_cover(aug, np.concatenate((centers, near)), shape, r), ub) - r
+
+    def margins(pts, p, ys):
+        centers = np.stack((ys, p), axis=1)
+        augs, ubs = _augment(pts, p, lambda aug, rows: cover_radius(centers[rows], aug))
+        return [(ub - r, partial(exact, a, c, ub)) for a, c, ub in zip(augs, centers, ubs)]
+    return _projected(shape, margins)
 
 
-def _augment(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Support of [x_0, ..., x_k, p] with a coincident p merged."""
-    if coincident_rows(pts, p[None, :]).any():
-        return pts
-    return np.concatenate((pts, p[None, :]))
+def _augment(pts, p, bound):
+    """(supports, bounds): the supports [x_0, ..., x_k, p] of the (g, k, n)
+    array pts and the rows of p, a p that coincides with a vertex merged, and
+    their bounds, bound(stack, rows) taking those of one size and indices."""
+    merged = coincident_rows(pts, p[:, None])[:, :, 0].any(axis=1)
+    augs, bounds = [None] * len(pts), [None] * len(pts)
+    for keep, stack in ((merged, pts), (~merged, np.concatenate((pts, p[:, None]), axis=1))):
+        rows = np.flatnonzero(keep)
+        if rows.size:
+            for j, aug, b in zip(rows.tolist(), stack[rows], bound(stack[rows], rows).tolist()):
+                augs[j], bounds[j] = aug, b
+    return augs, bounds
 
 
 def check_empty_ball(shape, trials, seed) -> LemmaReport:
@@ -544,22 +562,18 @@ def check_empty_ball(shape, trials, seed) -> LemmaReport:
     nearest = nearest_distance_query(dense)
     dim = ambient_dim(shape)
 
-    def shot(rng, base):
-        u = rng.normal(size=dim)
-        u /= norm(u)
-        mag = tau * (1e-3 + 0.996 * rng.random())
-        x = base[0] + mag * u
-        d = distance_to_shape(shape, x)
-        if d <= 1e-12 * (1.0 + norm(x)):
-            return False
-        try:
-            p = project(shape, x)
-        except MedialAxisProximity:
-            return False
-        c = p + tau * (x - p) / norm(x - p)
-        return tau - nearest(c), 1e-6
+    def shots(rngs, bases):
+        us = np.array([rng.normal(size=dim) for rng in rngs])
+        mags = np.array([rng.random() for rng in rngs])
+        x = bases[:, 0] + (tau * (1e-3 + 0.996 * mags))[:, None] * (us / dot_norms(us)[:, None])
+        # a shot on the shape or on a nearest-point tie draws again
+        hit = ~(shape.distance_rows(x) <= 1e-12 * (1.0 + dot_norms(x)))
+        p, tied = shape.project_rows(x[hit])
+        p, hit[hit] = p[~tied], ~tied
+        c = iter(p + tau * (x[hit] - p) / dot_norms(x[hit] - p)[:, None])
+        return [(tau - nearest(next(c)), 1e-6) if h else False for h in hit.tolist()]
 
-    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, _redraws(shape, 1, shot))
+    return _run_cell("EmptyBall", shape, float(tau), 0, trials, seed, _redraws(shape, 1, shots))
 
 
 def check_federer(shape, r, trials, seed) -> LemmaReport:
@@ -568,21 +582,20 @@ def check_federer(shape, r, trials, seed) -> LemmaReport:
     tau = reach(shape)
     dim = ambient_dim(shape)
 
-    def shot(rng, base):
-        us = rng.normal(size=(2, dim))
-        us /= row_norms(us)[:, None]
-        mags = r * 0.999 * rng.random(size=2)
-        x = base[0] + mags[0] * us[0]
-        y = base[1] + mags[1] * us[1]
-        try:
-            px = project(shape, x)
-            py = project(shape, y)
-        except MedialAxisProximity:
-            return False
-        bound = tau / (tau - r) * norm(x - y)  # shots run after _run_cell's reach-gap check
-        return norm(px - py) - bound, band(bound)
+    def shots(rngs, bases):
+        us = np.array([rng.normal(size=(2, dim)) for rng in rngs])
+        mags = np.array([rng.random(size=2) for rng in rngs])
+        xs = bases + (r * 0.999 * mags)[:, :, None] * (us / row_norms(us)[:, :, None])
+        feet, tied = shape.project_rows(xs.reshape(-1, dim))
+        hit = ~tied.reshape(-1, 2).any(axis=1)  # a pair with a nearest-point tie draws again
+        feet = feet.reshape(xs.shape)[hit]
+        # shots run after _run_cell's reach-gap check
+        bound = tau / (tau - r) * dot_norms(xs[hit, 0] - xs[hit, 1])
+        found = zip((dot_norms(feet[:, 0] - feet[:, 1]) - bound).tolist(),
+                    map(band, bound.tolist()))
+        return [next(found) if h else False for h in hit.tolist()]
 
-    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _redraws(shape, 2, shot))
+    return _run_cell("FedererLipschitz", shape, r, 0, trials, seed, _redraws(shape, 2, shots))
 
 
 # ---------------------------------------------------------------------------

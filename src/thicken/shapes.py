@@ -12,12 +12,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidInput, MedialAxisProximity, SizeLimit,
                      UnsupportedShape)
-from .euclid import (EPS_MED, as_point, as_points, coincident_pair, norm, row_norms,
+from .euclid import (EPS_MED, as_point, as_points, coincident_pair, dot_norms, row_norms,
                      square_distances)
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "ambient_dim",
     "reach",
     "project",
+    "project_rows",
     "distance_to_shape",
     "finite_points",
     "sample",
@@ -50,11 +52,13 @@ class Shape:
 
     Each kind is a frozen dataclass whose fields are its descriptor
     parameters (``kind`` names it in configs). It supplies ``ambient_dim``,
-    ``reach`` and ``label``; ``distance(p)`` and ``project(p)`` on validated
-    input; ``bounding_box()``; and either ``finite_points()`` (finite kinds)
-    or ``intrinsic_measure()`` (continuous kinds), which size the reach
-    estimator's witness pool. Callers go through the module functions, which
-    check the argument is a shape and validate points.
+    ``reach`` and ``label``; the row forms ``distance_rows(X)`` and
+    ``project_rows(X)`` on validated (k, n) rows (see project_rows), whose
+    one-row case are ``distance(p)`` and ``project(p)``; ``bounding_box()``;
+    and either ``finite_points()`` (finite kinds) or ``intrinsic_measure()``
+    (continuous kinds), which size the reach estimator's witness pool.
+    Callers go through the module functions, which check the argument is a
+    shape and validate points.
 
     Sampling: ``sample_stacked(rngs, count, centers=None, radius=None)``
     gives, for each generator in turn, ``count`` uniform points on the shape
@@ -75,6 +79,15 @@ class Shape:
     """
 
     _normals = 0
+
+    def distance(self, p) -> float:
+        return float(self.distance_rows(p[None])[0])
+
+    def project(self, p):
+        feet, tied = self.project_rows(p[None])
+        if tied[0]:
+            raise MedialAxisProximity("nearest points tie: the input is on or near the medial axis")
+        return feet[0]
 
     def finite_points(self):
         """The shape's points as a (k, n) array when it is finite, else None."""
@@ -137,14 +150,13 @@ class _RoundSphere(Shape):
     def reach(self) -> float:
         return self.radius
 
-    def distance(self, p) -> float:
-        return abs(norm(p) - self.radius)
+    def distance_rows(self, X):
+        return np.abs(dot_norms(X) - self.radius)
 
-    def project(self, p):
-        nrm = norm(p)
-        if nrm <= self.radius * EPS_MED:
-            raise MedialAxisProximity("input at the center: all directions tie")
-        return p * (self.radius / nrm)
+    def project_rows(self, X):
+        nrm = dot_norms(X)
+        tied = nrm <= self.radius * EPS_MED
+        return X * (self.radius / (nrm + tied))[:, None], tied  # a tie divides by nrm + 1
 
     def bounding_box(self):
         r = self.radius
@@ -258,59 +270,42 @@ class Ellipse(Shape):
     def label(self) -> str:
         return f"ellipse(a={self.a:g},b={self.b:g})"
 
-    def _nearest(self, x: np.ndarray):
-        """Nearest point(s) on the ellipse.
-
-        Returns (foot, dist, tied). Works in the first quadrant by symmetry
-        and solves F(t) = (a*u1/(t+a^2))^2 + (b*u2/(t+b^2))^2 - 1 = 0 on t in
-        (-b^2, inf) by safeguarded Newton (bisection fallback), 80
-        iterations, residual 1e-12. F is strictly decreasing there, so the
-        root is unique.
-        """
+    def _nearest(self, x0, x1):
+        """(foot x, foot y, distance, tied) for the point (x0, x1), in Python
+        floats: numpy's cost per call exceeds a row's work. Works in the
+        first quadrant by symmetry. On the major axis, or so near it that
+        b*u2 is lost against b^2, the segment inside the cusp (a^2 - b^2)/a,
+        the medial axis, ties, and beyond it the vertex is nearest.
+        Elsewhere safeguarded Newton (bisection fallback, 80 iterations,
+        residual 1e-12) solves F(t) = (a*u1/(t+a^2))^2 + (b*u2/(t+b^2))^2 - 1
+        = 0 on (-b^2, inf), where F strictly decreases; within EPS_MED *
+        reach of the medial axis the foot's mirror image ties."""
         a, b = self.a, self.b
-        u1, u2 = abs(x[0]), abs(x[1])
-        s1 = 1.0 if x[0] >= 0 else -1.0
-        s2 = 1.0 if x[1] >= 0 else -1.0
-
-        if u2 == 0.0:
-            cusp = (a * a - b * b) / a
+        u1, u2 = abs(x0), abs(x1)
+        s1 = 1.0 if x0 >= 0 else -1.0
+        cusp = (a * a - b * b) / a
+        lo = b * u2 - b * b          # F(lo) >= 0 (second term equals 1 there)
+        if lo == -b * b:  # on the major axis, or too near it for t to part from -b^2
             if u1 >= cusp:
-                foot = np.array([s1 * a, 0.0])
-                return foot, abs(u1 - a), False
-            if a == b:
-                # circle degenerates: center only
-                if u1 == 0.0:
-                    return np.array([a, 0.0]), a, True
-                foot = np.array([s1 * a, 0.0])
-                return foot, a - u1, False
-            # two symmetric feet off-axis
+                return s1 * a, 0.0, abs(u1 - a), False
             c = a * u1 / (a * a - b * b)
             y2 = b * math.sqrt(max(0.0, 1.0 - c * c))
-            foot = np.array([s1 * a * c, y2])
-            d = math.hypot(a * c - u1, y2)
-            return foot, d, True
-
-        lo = b * u2 - b * b          # F(lo) >= 0 (second term equals 1 there)
+            return s1 * a * c, y2, math.hypot(a * c - u1, y2), True
         hi = math.hypot(a * u1, b * u2) - b * b   # F(hi) <= 0
         if hi <= lo:
             hi = lo + max(1.0, abs(lo))
-
-        def f_and_df(t):
+        t = 0.5 * (lo + hi)
+        for _ in range(80):
             p = a * u1 / (t + a * a)
             q = b * u2 / (t + b * b)
             f = p * p + q * q - 1.0
-            df = -2.0 * (p * p / (t + a * a) + q * q / (t + b * b))
-            return f, df
-
-        t = 0.5 * (lo + hi)
-        for _ in range(80):
-            f, df = f_and_df(t)
             if abs(f) <= 1e-12:
                 break
             if f > 0:
                 lo = t
             else:
                 hi = t
+            df = -2.0 * (p * p / (t + a * a) + q * q / (t + b * b))
             t_new = t - f / df if df != 0 else t
             if not (lo < t_new < hi):
                 t_new = 0.5 * (lo + hi)
@@ -318,25 +313,22 @@ class Ellipse(Shape):
                 break
             t = t_new
 
-        foot = np.array([s1 * a * a * u1 / (t + a * a), s2 * b * b * u2 / (t + b * b)])
-        d = math.hypot(foot[0] - x[0], foot[1] - x[1])
-        return foot, d, False
+        f0 = s1 * a * a * u1 / (t + a * a)
+        f1 = (1.0 if x1 >= 0 else -1.0) * b * b * u2 / (t + b * b)
+        d = math.hypot(f0 - x0, f1 - x1)
+        return f0, f1, d, (f1 != 0.0 and u1 < cusp
+                           and math.hypot(f0 - x0, -f1 - x1) - d <= EPS_MED * self.reach)
 
-    def distance(self, p) -> float:
-        return self._nearest(p)[1]
+    def _nearest_rows(self, X):
+        rows = map(self._nearest, X[:, 0].tolist(), X[:, 1].tolist())
+        return np.array(list(rows), dtype=float).reshape(-1, 4)
 
-    def project(self, p):
-        foot, d, tied = self._nearest(p)
-        if tied:
-            raise MedialAxisProximity("two symmetric nearest points tie on the ellipse")
-        # competing foot on the mirrored branch nearly ties near the medial
-        # axis, the major-axis segment |x0| < (a^2 - b^2)/a; past its end the
-        # nearest point is unique however close x sits to the axis
-        mirrored = math.hypot(foot[0] - p[0], -foot[1] - p[1])
-        cusp = (self.a * self.a - self.b * self.b) / self.a
-        if foot[1] != 0.0 and abs(p[0]) < cusp and mirrored - d <= EPS_MED * self.reach:
-            raise MedialAxisProximity("mirrored-branch nearest point nearly ties")
-        return foot
+    def distance_rows(self, X):
+        return self._nearest_rows(X)[:, 2]
+
+    def project_rows(self, X):
+        rows = self._nearest_rows(X)
+        return rows[:, :2].copy(), rows[:, 3] != 0.0
 
     def _window(self, centers, radius):
         # rows (first angle, span). Ellipse points an angle t apart lie at
@@ -395,20 +387,19 @@ class Torus(Shape):
     def label(self) -> str:
         return f"torus(R={self.major:g},rho={self.minor:g})"
 
-    def distance(self, p) -> float:
-        rho_xy = math.hypot(p[0], p[1])
-        return abs(math.hypot(rho_xy - self.major, p[2]) - self.minor)
+    def distance_rows(self, X):
+        return np.abs(_hypot(_hypot(X[:, 0], X[:, 1]) - self.major, X[:, 2]) - self.minor)
 
-    def project(self, p):
-        rho_xy = math.hypot(p[0], p[1])
-        if rho_xy <= self.major * EPS_MED:
-            raise MedialAxisProximity("input on the torus axis: a circle of nearest points")
-        spine = np.array([p[0], p[1], 0.0]) * (self.major / rho_xy)
-        v = p - spine
-        vn = norm(v)
-        if vn <= self.minor * EPS_MED:
-            raise MedialAxisProximity("input on the torus spine: a circle of nearest points")
-        return spine + v * (self.minor / vn)
+    def project_rows(self, X):
+        # ties on the axis and on the spine circle; a tie divides by its norm + 1
+        rho_xy = _hypot(X[:, 0], X[:, 1])
+        tied = rho_xy <= self.major * EPS_MED
+        spine = X * (self.major / (rho_xy + tied))[:, None]
+        spine[:, 2] = 0.0
+        v = X - spine
+        vn = dot_norms(v)
+        tied |= vn <= self.minor * EPS_MED
+        return spine + v * (self.minor / (vn + tied))[:, None], tied
 
     def _window(self, centers, radius):
         # rows (first theta, span, first phi, span). theta: pivot the z-axis,
@@ -448,38 +439,54 @@ class _FiniteShape(Shape):
     """Closed forms shared by ZeroSphere and FinitePointSet: the finite set
     of the rows of ``points``. Its reach is half the least distance between
     two of them, and a point ties when its second-nearest row is within
-    EPS_MED * max(d1, reach) of its nearest, d1 away."""
+    EPS_MED * max(d1, reach) of its nearest, d1 away. The array of the rows
+    and the reach are built once per shape."""
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+    @cached_property
+    def _array(self) -> np.ndarray:
+        pts = np.asarray(self.points, dtype=float)
+        pts.flags.writeable = False
+        return pts
 
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
 
-    @property
+    @cached_property
     def reach(self) -> float:
-        d2 = square_distances(self.array())
+        d2 = square_distances(self._array)
         return 0.5 * float(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)].min()))
 
-    def distance(self, p) -> float:
-        return float(np.sqrt(((self.array() - p) ** 2).sum(axis=1).min()))
+    def _distances(self, X):
+        """(len(X), k) distances from the rows of X to the points. A square
+        distance that overflows is taken again from the difference scaled
+        by its largest coordinate, inf where the difference overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = square_distances(X, self._array)
+            d = np.sqrt(d2)
+            over = np.isinf(d2)
+            if over.any():
+                diff = (X[:, None] - self._array)[over]
+                scale = np.abs(diff).max(axis=1)
+                d[over] = np.nan_to_num(scale * row_norms(diff / scale[:, None]), nan=math.inf)
+        return d
 
-    def project(self, p):
-        pts = self.array()
-        dists = np.sqrt(((pts - p) ** 2).sum(axis=1))
-        order = np.argsort(dists, kind="stable")
-        d1, d2 = dists[order[0]], dists[order[1]]
-        if not d2 - d1 > EPS_MED * max(d1, self.reach):  # NaN: both distances overflow
-            raise MedialAxisProximity("two sample points tie as nearest")
-        return pts[order[0]].copy()
+    def distance_rows(self, X):
+        return self._distances(X).min(axis=1)
+
+    def project_rows(self, X):
+        d = self._distances(X)
+        near = d.argmin(axis=1)
+        d.sort(axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf: both distances overflow, a tie
+            tied = ~(d[:, 1] - d[:, 0] > EPS_MED * np.maximum(d[:, 0], self.reach))
+        return self._array[near], tied
 
     def finite_points(self):
-        return self.array()
+        return self._array.copy()
 
     def bounding_box(self):
-        pts = self.array()
-        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
+        return np.vstack([self._array.min(axis=0), self._array.max(axis=0)])
 
 
 @dataclass(frozen=True)
@@ -557,6 +564,11 @@ def _angle_window(dist, scale):
     return np.minimum(2.0 * np.arcsin(np.minimum(x, 1.0)) + 1e-9, math.pi)
 
 
+def _hypot(x, y):
+    """math.hypot of each pair of entries: np.hypot differs on some pairs."""
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
 def _pick(points, count, rng):
     """`count` uniform rows, none of none."""
     if not points.shape[0]:
@@ -612,6 +624,13 @@ def project(shape, x) -> np.ndarray:
     inside the reach tube it is guaranteed for every kind.
     """
     return _shape(shape).project(as_point(x, dim=shape.ambient_dim))
+
+
+def project_rows(shape, X) -> tuple:
+    """(feet, tied) for the (k, n) points X: tied[i] where project(shape,
+    X[i]) raises MedialAxisProximity, else feet[i] is its answer, with the
+    same bits whatever rows are stacked with X[i]."""
+    return _shape(shape).project_rows(as_points(X, dim=shape.ambient_dim))
 
 
 def _check_count(count) -> None:

@@ -298,8 +298,8 @@ def test_intrinsic_cover_candidates_and_context(monkeypatch):
     near = np.array([[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]])
     chord = 2.0 * np.sin(0.05)  # from the arc midpoint to either vertex
     calls = []
-    real = complexes.project
-    monkeypatch.setattr(complexes, "project", lambda s, x: calls.append(x) or real(s, x))
+    real = complexes.project_rows
+    monkeypatch.setattr(complexes, "project_rows", lambda s, x: calls.append(x) or real(s, x))
     # a center covering far below the threshold decides without the projection
     mid = np.array([[np.cos(0.1), np.sin(0.1)]])
     assert intrinsic_cover(near, mid, shape, 1.0) == pytest.approx(chord, abs=1e-15)

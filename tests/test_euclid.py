@@ -11,7 +11,7 @@ from thicken.euclid import (
     coincident_pair,
     coincident_rows,
     diameter,
-    max_row_norm,
+    dot_norms,
     nearest_distance_query,
     norm,
     row_norms,
@@ -120,7 +120,7 @@ def test_norm_helpers_match_numpy():
         assert norm(a[:, 0]) == float(np.linalg.norm(a[:, 0]))
         assert norm(a) == float(np.linalg.norm(a))
         assert (row_norms(a) == np.linalg.norm(a, axis=1)).all()
-        assert max_row_norm(a) == float(np.linalg.norm(a, axis=1).max())
+        assert dot_norms(a).tolist() == [norm(v) for v in a]
 
 
 def test_threshold_compare_exact_equality_decides_by_strictness():

@@ -10,6 +10,8 @@ form of the bounds (bound_verdicts), where it decides, must decide the
 same. Each predicate is also monotone in the scale: True at one scale stays
 True, or turns ambiguous, at every larger one.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,25 @@ def test_host_arithmetic_that_radius_bounds_relies_on():
             assert complexes._ball_from_support(np.stack((p, q)), (0, 1))[0].tobytes() == c.tobytes()
         differs += int((einsum != stacked).any() and ((V * V).sum(axis=1) != stacked).any())
     assert differs > 0
+
+
+def test_host_arithmetic_that_block_scoring_relies_on():
+    # Block scoring reproduces trial-by-trial scores only where numpy's
+    # arithmetic holds to this: a stacked (lams[:, None, :] @ stacks)[:, 0] gives each
+    # row lam @ pts's bits, row sums normalize the weights as w / w.sum()
+    # does, and np.vecdot gives ndarray.dot's bits. np.hypot does not give
+    # math.hypot's on every pair, so the shapes map math.hypot over rows.
+    rng = np.random.default_rng(23)
+    for n in (2, 3):
+        for k in range(1, 9):
+            stacks = rng.normal(size=(400, k, n)) * 10.0 ** rng.integers(-3, 3, size=(400, 1, 1))
+            w = rng.exponential(size=(400, k))
+            lams = w / w.sum(axis=1)[:, None]
+            bary = (lams[:, None, :] @ stacks)[:, 0]
+            for row, lam, wi, pts in zip(bary, lams, w, stacks):
+                assert lam.tobytes() == (wi / wi.sum()).tobytes()
+                assert row.tobytes() == (lam @ pts).tobytes()
+            V = stacks[:, 0]
+            assert np.vecdot(V, V).tolist() == [v.dot(v) for v in V]
+    x, y = rng.normal(size=(2, 20000)) * 10.0 ** rng.integers(-5, 5, size=(2, 20000))
+    assert np.hypot(x, y).tolist() != list(map(math.hypot, x.tolist(), y.tolist()))

@@ -1,4 +1,5 @@
-"""The torus patch sampler's angle window against whole-shape sampling.
+"""The torus patch sampler's angle window against whole-shape sampling, and
+the shapes' row forms against their one-row calls.
 
 Given a center, the torus's sample_stacked proposes its candidates only in a
 (theta, phi) window around the center. Its law is that of sample-then-filter
@@ -15,7 +16,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from thicken import Torus, sample_rng  # noqa: E402
+from thicken import (Circle, Ellipse, FinitePointSet, MedialAxisProximity, Sphere,  # noqa: E402
+                     Torus, ZeroSphere, ambient_dim, distance_to_shape, project, project_rows,
+                     reach, sample_rng)
 from thicken.euclid import row_norms  # noqa: E402
 from thicken.shapes import sample_stacked  # noqa: E402
 
@@ -78,3 +81,62 @@ def test_torus_sample_patch_is_sample_then_filter(which, th, ph, off, radius_kin
     assert (row_norms(rows - center) <= radius).all()
     if near.shape[0] >= 5 * count + 20:   # a patch of a fair share of the torus fills
         assert got[0] == count
+
+
+# the six shapes, each with rows where the nearest point ties or nearly
+# ties: the circle's and sphere's center, the torus axis and spine, the
+# ellipse's major axis inside and beyond the cusp |x| = 1.5 and its minor
+# axis, and the finite set's midpoints
+ROW_SHAPES = (
+    (Circle(1.0), [[0.0, 0.0], [1e-7, 0.0], [0.0, -1e-300], [2.0, 0.0]]),
+    (Sphere(3, 1.0), [[0.0, 0.0, 0.0], [0.0, 1e-6, 0.0], [-1e-300, 0.0, 0.0]]),
+    (Torus(3.0, 1.0), [[0.0, 0.0, 0.5], [1e-9, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                       [0.0, -3.0, 1e-8], [3.0 + 1e-7, 0.0, 0.0]]),
+    (Ellipse(2.0, 1.0), [[0.0, 0.0], [1.0, 0.0], [-1.49, 0.0], [1.49, 1e-9], [1.0, -1e-7],
+                         [1.5, 0.0], [1.6, 0.0], [-2.5, 0.0], [1.6, 1e-10], [0.0, 0.5],
+                         [0.0, -3.0], [0.0, 1e-300]]),
+    (ZeroSphere(), [[0.0], [1e-7], [-1.0], [3e6], [1e200]]),
+    (FinitePointSet(((0.0, 0.0), (1.0, 0.0), (0.3, 0.8), (1.4, 0.9), (-0.5, 0.6),
+                     (0.7, -0.7))), None),
+)
+
+
+@st.composite
+def stacked_rows(draw):
+    """A shape and up to 12 rows: its hard rows, and points off the shape at
+    scales from 1e-9 to 3 of the reach."""
+    shape, hard = draw(st.sampled_from(ROW_SHAPES))
+    fin = shape.finite_points()
+    if hard is None:
+        hard = [0.5 * (p + q) for p in fin for q in fin]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            rows.append(np.asarray(draw(st.sampled_from(hard)), dtype=float))
+        else:
+            u = rng.normal(size=ambient_dim(shape))
+            scale = 10.0 ** draw(st.floats(-9.0, 0.5)) * reach(shape)
+            rows.append(sample_rng(shape, 1, rng)[0] + scale * u / np.linalg.norm(u))
+    return shape, np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacked_rows())
+def test_row_forms_match_the_scalar_forms_bit_for_bit(case):
+    # each row's answer in a stack is the one-row call's, and tied is set
+    # exactly where that call raises MedialAxisProximity
+    shape, X = case
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        feet, tied = project_rows(shape, X)
+        dist = shape.distance_rows(X)
+    assert feet.shape == X.shape and tied.shape == dist.shape == (len(X),)
+    for x, foot, t, d in zip(X, feet, tied.tolist(), dist):
+        assert d.tobytes() == np.float64(distance_to_shape(shape, x)).tobytes()
+        try:
+            p = project(shape, x)
+        except MedialAxisProximity:
+            assert t
+        else:
+            assert not t
+            assert foot.tobytes() == p.tobytes()

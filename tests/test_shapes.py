@@ -1,6 +1,7 @@
 """Positive-reach shapes: reach values, projection vs dense oracle, sampling,
 medial-axis detection, brute-force reach estimation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ def test_distance_to_shape_known_values():
         assert distance_to_shape(shape, [-3e6]) == 3e6 - 1.0
 
 
+def test_closed_forms_keep_their_scalar_bits():
+    # the row forms of the round spheres and the torus give the bits of the
+    # scalar closed forms, the norm a root of a dot product and math.hypot
+    # for the torus (np.hypot rounds some pairs differently)
+    R, rho = 3.0, 1.0
+    scales = 10.0 ** np.arange(-4, 2).repeat(500)[:, None]
+    for x in np.random.default_rng(9).normal(size=(3000, 3)) * scales:
+        v = x[:2]
+        assert distance_to_shape(Circle(2.0), v) == abs(math.sqrt(v.dot(v)) - 2.0)
+        nrm = math.sqrt(x.dot(x))
+        assert distance_to_shape(Sphere(3, 1.0), x) == abs(nrm - 1.0)
+        assert project(Sphere(3, 1.0), x).tobytes() == (x * (1.0 / nrm)).tobytes()
+        t = x + [2.0, 1.5, 0.2]  # clear of the torus axis and spine
+        rxy = math.hypot(t[0], t[1])
+        assert distance_to_shape(Torus(R, rho), t) == abs(math.hypot(rxy - R, t[2]) - rho)
+        spine = np.array([t[0], t[1], 0.0]) * (R / rxy)
+        w = t - spine
+        want = spine + w * (rho / math.sqrt(w.dot(w)))
+        assert project(Torus(R, rho), t).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=shape_label)
 def test_samples_lie_on_shape(shape):
     pts = sample(shape, 200, seed=3)
@@ -235,6 +257,34 @@ def test_projection_known_values():
         assert project(shape, [-1e6]).tolist() == [-1.0]
     fp = FinitePointSet(((0.0, 0.0), (3.0, 0.0)))
     assert np.allclose(project(fp, [1.0, 1.0]), [0.0, 0.0])
+
+
+def test_finite_shapes_rescale_overflowing_squares():
+    # a square distance that overflows is taken again from the difference
+    # scaled by its largest coordinate, without a RuntimeWarning; at 1e200
+    # the two distances of {-1, +1} round equal, so the projection ties
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in (ZeroSphere(), FinitePointSet(((-1.0,), (1.0,)))):
+            assert distance_to_shape(shape, [1e200]) == 1e200
+            assert distance_to_shape(shape, [-1e300]) == 1e300
+            with pytest.raises(MedialAxisProximity):
+                project(shape, [1e200])
+        wide = FinitePointSet(((0.0, 0.0), (1e150, 0.0)))
+        assert distance_to_shape(wide, [2e154, 0.0]) == 2e154 - 1e150
+        assert project(wide, [2e154, 0.0]).tolist() == [1e150, 0.0]
+        assert distance_to_shape(wide, [-1e200, 1e200]) == pytest.approx(2**0.5 * 1e200)
+        # a difference that overflows leaves the distance inf, and a tie
+        edge = FinitePointSet(((-1.7e308, 0.0), (-1.7e308, 1.0)))
+        assert distance_to_shape(edge, [1.7e308, 0.0]) == math.inf
+        with pytest.raises(MedialAxisProximity):
+            project(edge, [1.7e308, 0.0])
+        # rows whose squares stay finite keep the plain sum's bits
+        pts = np.random.default_rng(2).normal(size=(40, 3))
+        fp = FinitePointSet(tuple(map(tuple, pts)))
+        for x in np.random.default_rng(3).normal(size=(200, 3)) * 4.0:
+            want = float(np.sqrt(((pts - x) ** 2).sum(axis=1).min()))
+            assert distance_to_shape(fp, x) == want
 
 
 def test_projection_medial_axis_raises():

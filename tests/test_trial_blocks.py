@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thicken import (Circle, ComplexSpec, Ellipse, FinitePointSet, Measure, MedialAxisProximity,
-                     Sphere, Torus, ZeroSphere, homotopy_H, make_thickening_point, reach,
+                     Shape, Sphere, Torus, ZeroSphere, homotopy_H, make_thickening_point, reach,
                      retract, thickening_distance, wasserstein1)
 from thicken import retraction
 from thicken.retraction import SUITES
@@ -91,6 +91,19 @@ def test_block_size_and_pass_cap_change_no_row(monkeypatch, size):
     want = rows()
     monkeypatch.setattr(retraction, "_BLOCK", size)
     assert rows() == want
+
+
+def test_campaign_suites_score_without_the_one_row_path(monkeypatch):
+    # every suite projects and measures a block's trials through the row
+    # forms, so none may call the one-row Shape.project or Shape.distance
+    def refuse(self, p):
+        raise AssertionError("a suite scored a trial through the one-row path")
+    monkeypatch.setattr(Shape, "project", refuse)
+    monkeypatch.setattr(Shape, "distance", refuse)
+    for shape, r in ((Circle(1.0), 0.9), (Ellipse(2.0, 1.0), 0.45), (Sphere(3, 1.0), 0.9),
+                     (Torus(3.0, 1.0), 0.9)):
+        for suite in SUITES.values():
+            assert suite.run(shape, r, 5, 100, 1, False).trials == 100
 
 
 def test_trial_generators_of_a_block_are_distinct():
